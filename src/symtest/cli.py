@@ -157,14 +157,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for arg, kwargs in arguments.items():
             p.add_argument(arg, **kwargs)
-        p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
-        p.add_argument(
-            "--max-qubits", type=int, default=statevec.MAX_QUBITS, help="state-size cap override"
-        )
         p.set_defaults(func=func)
         return p
 
-    add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int})
+    # Each flag goes only on the subcommands that read it.
+    def tolerance(p):
+        p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
+
+    def max_qubits(p):
+        p.add_argument(
+            "--max-qubits", type=int, default=statevec.MAX_QUBITS, help="state-size cap override"
+        )
+
+    max_qubits(add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int}))
     add("classify", _cmd_classify, "Positive, Negative, or NotAdmissible", function={})
     add("parity", _cmd_parity, "mask and complement of an admissible function", function={})
     p = add(
@@ -175,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         state={},
     )
     p.add_argument("--vector", action="store_true", help="print the final state vector")
+    tolerance(p)
+    max_qubits(p)
     add("predict", _cmd_predict, "analytic pipeline output (no simulation)", function={}, state={})
     add("solve", _cmd_solve, "function mapping one state to another", input={}, output={})
     p = add("catalog", _cmd_catalog, "positive-function catalog for n", n={"type": int})
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chart", _cmd_chart, "input/output mapping chart for n", n={"type": int})
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--signed", action="store_true", help="annotate negative counterparts")
-    add("equiv", _cmd_equiv, "check wiring vs compiled equivalent", function={})
+    tolerance(add("equiv", _cmd_equiv, "check wiring vs compiled equivalent", function={}))
     add("verify", _cmd_verify, "exhaustive run-vs-predict sweep for n", n={"type": int})
     p = add(
         "fault",
@@ -197,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip:<layer>:<qubit> | rotate:<layer>:<qubit>:<radians> | corrupt:<index>",
     )
-    add("factor", _cmd_factor, "split a product state into qubit factors", vector={})
+    max_qubits(p)
+    tolerance(add("factor", _cmd_factor, "split a product state into qubit factors", vector={}))
     add("matrix", _cmd_matrix, "print the oracle permutation matrix", function={})
     return parser
 

@@ -10,10 +10,14 @@ the faultless pipeline reproduces the prediction with probability
 exactly 1, and success_probability() measures the drop under an
 injected fault.
 
-Simulation arithmetic is exact for the unfaulted pipeline: Hadamard
-layers are applied as unnormalized (a+b, a-b) butterflies on integer
-amplitudes and the accumulated 2^(k/2) factors are divided out at the
-end, which is a power of two whenever the butterfly count is even.
+The simulator works on a batch: a (2^k, B) array whose columns are
+input states, so verify_all sends all signed inputs of one f through
+the Hadamard layers and the oracle permutation in one pass, while run()
+and friends pass a single column.  Simulation arithmetic is exact for
+the unfaulted pipeline: Hadamard layers are applied as unnormalized
+(a+b, a-b) butterflies on integer amplitudes and the accumulated
+2^(k/2) factors are divided out at the end, which is a power of two
+whenever the butterfly count is even.
 """
 
 import math
@@ -38,7 +42,7 @@ from .statevec import (
     NotBasisStateError,
     StateVector,
     butterfly,
-    vector_to_ket,
+    read_basis_columns,
 )
 
 Layer = Literal["first", "second"]
@@ -92,6 +96,8 @@ def _check_fault(fault: Fault | None, n: int) -> None:
             raise ValueError(f"fault layer must be 'first' or 'second', got {fault.layer!r}")
         if not 0 <= fault.qubit < n + 1:
             raise ValueError(f"fault qubit {fault.qubit} out of range for {n + 1} wires")
+        if isinstance(fault, RotateQubit) and not math.isfinite(fault.angle):
+            raise ValueError(f"rotation angle must be finite, got {fault.angle}")
     elif isinstance(fault, CorruptOracleEntry):
         if not 0 <= fault.index < 1 << n:
             raise ValueError(f"oracle entry {fault.index} out of range for n={n}")
@@ -101,20 +107,27 @@ def _check_fault(fault: Fault | None, n: int) -> None:
 
 def _rotate(arr: np.ndarray, qubit: int, angle: float) -> None:
     shaped = arr.reshape(1 << qubit, 2, -1)
-    a = shaped[:, 0, :].copy()
-    b = shaped[:, 1, :].copy()
+    a = shaped[:, 0, :]
+    b = shaped[:, 1, :]
     c, s = math.cos(angle), math.sin(angle)
-    shaped[:, 0, :] = c * a - s * b
-    shaped[:, 1, :] = s * a + c * b
+    t = c * a - s * b
+    b *= c
+    b += s * a
+    a[...] = t
 
 
 def _simulate_raw(
-    f: TruthTable, input: BasisKet, fault: Fault | None = None, max_qubits: int = MAX_QUBITS
-) -> np.ndarray:
+    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS
+) -> tuple[np.ndarray, int]:
+    """Unnormalized pipeline output for a batch of signed basis inputs.
+
+    Column j of the returned (2^k, B) array starts as sign[j] * |index[j]>.
+    Also returns the number of butterflies applied: dividing by
+    2^(stages/2) normalizes the batch.
+    """
     k = f.n + 1
     if k > max_qubits:
         raise ValueError(f"pipeline on {k} qubits exceeds the cap of {max_qubits}")
-    _check_input(f, input)
     _check_fault(fault, f.n)
 
     table = f
@@ -123,8 +136,8 @@ def _simulate_raw(
         bits[fault.index] ^= 1
         table = TruthTable(f.n, tuple(bits))
 
-    arr = np.zeros(1 << k)
-    arr[input.index] = float(input.sign)
+    arr = np.zeros((1 << k, len(index)))
+    arr[index, np.arange(len(index))] = sign
     stages = 0
     for layer in ("first", "second"):
         for q in range(k):
@@ -136,16 +149,28 @@ def _simulate_raw(
             _rotate(arr, fault.qubit, fault.angle)
         if layer == "first":
             arr = arr[QuantumOracle(table).permutation]
+    return arr, stages
 
+
+def _simulate(f: TruthTable, index, sign, max_qubits: int = MAX_QUBITS) -> np.ndarray:
+    """Faultless pipeline output, one column per input; exact, because the
+    2k butterflies leave a power-of-two scale."""
+    arr, stages = _simulate_raw(f, index, sign, max_qubits=max_qubits)
     arr *= 2.0 ** -(stages // 2)
-    if stages % 2:
-        arr /= math.sqrt(2.0)
     return arr
+
+
+def _prediction(pf: ParityForm, index, sign):
+    """Predicted output (index, sign) for the input sign * |x, 1>, given by
+    its full ket index (ancilla included): sign * (-1)^c |x XOR m, 1>.
+    Takes integers or integer arrays."""
+    return index ^ (pf.mask_value << 1), sign * (-1 if pf.complement else 1)
 
 
 def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
     """Final state vector of the faultless pipeline, in exact arithmetic."""
-    return StateVector(_simulate_raw(f, input, max_qubits=max_qubits))
+    _check_input(f, input)
+    return StateVector(_simulate(f, [input.index], [input.sign], max_qubits)[:, 0])
 
 
 def run(
@@ -156,13 +181,14 @@ def run(
     Raises NotBasisStateError when the final vector is still a
     superposition, which happens exactly when f is not admissible.
     """
-    vec = _simulate_raw(f, input, max_qubits=max_qubits)
-    try:
-        ket = vector_to_ket(StateVector(vec), tolerance)
-    except NotBasisStateError:
+    _check_input(f, input)
+    arr = _simulate(f, [input.index], [input.sign], max_qubits)
+    index, sign = read_basis_columns(arr, tolerance)
+    if not sign[0]:
         raise NotBasisStateError(
             f"pipeline output for f={f} is not a basis state (function not admissible)"
-        ) from None
+        )
+    ket = BasisKet(int(sign[0]), int_to_bits(int(index[0]), input.k))
     return PipelineResult(ket, ket.bits[-1] == 1)
 
 
@@ -170,9 +196,8 @@ def predict(f: TruthTable, input: BasisKet) -> PipelineResult:
     """Analytic output without simulation; raises NotAdmissibleError otherwise."""
     pf = to_parity_form(f)
     _check_input(f, input)
-    y = xor_bits(input.bits[:-1], pf.mask)
-    sign = input.sign * (-1 if pf.complement else 1)
-    return PipelineResult(BasisKet(sign, y + (1,)), True)
+    index, sign = _prediction(pf, input.index, input.sign)
+    return PipelineResult(BasisKet(sign, int_to_bits(index, input.k)), True)
 
 
 def solve_function(input: BasisKet, desired: BasisKet) -> TruthTable:
@@ -195,12 +220,14 @@ def success_probability(
     """Squared overlap of the (possibly faulted) pipeline output with predict().
 
     Exactly 1.0 when no fault is injected; anything less flags a loss of
-    coherence or a broken gate.
+    coherence or a broken gate.  The unnormalized overlap is squared
+    before the 2^-stages scale is applied, so that scale stays an exact
+    power of two even when a skipped Hadamard leaves an odd stage count.
     """
     target = predict(f, input).output
-    vec = _simulate_raw(f, input, fault, max_qubits=max_qubits)
-    overlap = float(vec[target.index]) * target.sign
-    return overlap * overlap
+    arr, stages = _simulate_raw(f, [input.index], [input.sign], fault, max_qubits)
+    overlap = float(arr[target.index, 0]) * target.sign
+    return overlap * overlap * 2.0 ** -stages
 
 
 @dataclass
@@ -225,26 +252,30 @@ class VerifyReport:
 
 
 def verify_all(n: int, max_n: int = 6) -> VerifyReport:
-    """Check run == predict for every admissible f and every signed basis input."""
+    """Check run == predict for every admissible f and every signed basis input.
+
+    Each f simulates all 2^(n+1) signed inputs as the columns of one
+    batch, ordered x ascending with + before -, and compares the readout
+    of every column with the parity-form prediction.
+    """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be in 1..{max_n}, got {n}")
+    index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
+    sign = np.tile([1, -1], 1 << n)
     positives, negatives = generate_functions(n)
     report = VerifyReport(n, 0)
+
+    def ket(s, i) -> str:
+        return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
+
     for f in positives + negatives:
-        for idx in range(1 << n):
-            for sign in (1, -1):
-                ket = BasisKet(sign, int_to_bits(idx, n) + (1,))
-                want = predict(f, ket)
-                report.total += 1
-                try:
-                    got = run(f, ket)
-                except NotBasisStateError:
-                    report.failures.append(
-                        f"f={padded_hex(f)} x={ket} got=NotBasisState want={want.output}"
-                    )
-                    continue
-                if got != want:
-                    report.failures.append(
-                        f"f={padded_hex(f)} x={ket} got={got.output} want={want.output}"
-                    )
+        want_index, want_sign = _prediction(to_parity_form(f), index, sign)
+        got_index, got_sign = read_basis_columns(_simulate(f, index, sign))
+        report.total += index.size
+        for j in np.flatnonzero((got_index != want_index) | (got_sign != want_sign)):
+            got = ket(got_sign[j], got_index[j]) if got_sign[j] else "NotBasisState"
+            report.failures.append(
+                f"f={padded_hex(f)} x={ket(sign[j], index[j])} got={got} "
+                f"want={ket(want_sign[j], want_index[j])}"
+            )
     return report

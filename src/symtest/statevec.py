@@ -98,29 +98,54 @@ def ket_to_vector(ket: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
     return StateVector(arr)
 
 
+def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Read every column of a (2^k, B) amplitude batch as a signed basis state.
+
+    Column j reads as sign[j] * |index[j]> when exactly one amplitude has
+    magnitude within `tolerance` of 1 and all others are within
+    `tolerance` of 0, which signals that no superposition or
+    entanglement remains.  sign[j] is 0 for every other column.
+    """
+    mags = np.abs(arr)
+    cols = np.arange(arr.shape[1])
+    index = np.argmax(mags, axis=0)
+    peak = mags[index, cols]
+    mags[index, cols] = 0.0
+    ok = (np.abs(peak - 1.0) <= tolerance) & (mags.max(axis=0) <= tolerance)
+    sign = np.where(ok, np.where(arr[index, cols] > 0, 1, -1), 0)
+    return index, sign
+
+
 def vector_to_ket(v: StateVector, tolerance: float = 1e-9) -> BasisKet:
     """Extract the signed basis ket, or raise NotBasisStateError.
 
-    Succeeds only when exactly one amplitude has magnitude within
-    `tolerance` of 1 and all others are within `tolerance` of 0, which
-    signals that no superposition or entanglement remains.
+    The one-column case of read_basis_columns.
     """
-    mags = np.abs(v.amplitudes)
-    idx = int(np.argmax(mags))
-    rest = np.delete(mags, idx)
-    if abs(mags[idx] - 1.0) > tolerance or (rest.size and rest.max() > tolerance):
+    index, sign = read_basis_columns(v.amplitudes[:, None], tolerance)
+    if not sign[0]:
         raise NotBasisStateError("vector is not a signed basis state")
-    sign = 1 if v.amplitudes[idx] > 0 else -1
-    return BasisKet(sign, int_to_bits(idx, v.k))
+    return BasisKet(int(sign[0]), int_to_bits(int(index[0]), v.k))
 
 
 def butterfly(arr: np.ndarray, qubit: int) -> None:
-    """Unnormalized in-place Hadamard on one qubit: (a, b) -> (a+b, a-b)."""
+    """Unnormalized in-place Hadamard on one qubit: (a, b) -> (a+b, a-b).
+
+    `arr` is a (2^k,) vector or a C-contiguous (2^k, B) batch whose
+    columns are independent states; the reshape folds the batch axis
+    into the trailing axis, so both take the same path.
+    """
+    if not arr.flags.c_contiguous:
+        raise ValueError("butterfly needs a C-contiguous array to work in place")
     shaped = arr.reshape(1 << qubit, 2, -1)
-    a = shaped[:, 0, :].copy()
-    b = shaped[:, 1, :].copy()
-    shaped[:, 0, :] = a + b
-    shaped[:, 1, :] = a - b
+    a = shaped[:, 0, :]
+    b = shaped[:, 1, :]
+    if a.shape[1] < 8:
+        # Runs shorter than a 64-byte cache line cost one ufunc inner-loop
+        # call each, so iterate along the long axis instead.
+        a, b = a.T, b.T
+    t = np.subtract(a, b, order="C")
+    np.add(a, b, out=a, order="C")
+    b[...] = t
 
 
 def hadamard_all(v: StateVector) -> StateVector:

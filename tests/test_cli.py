@@ -121,6 +121,40 @@ def test_fault_bad_spec(capsys):
     assert "fault spec" in err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_fault_non_finite_angle(capsys, angle):
+    code, out, err = run_cli(capsys, "fault", "0011", "+001", f"rotate:first:1:{angle}")
+    assert (code, out) == (1, "")
+    assert err == f"error: rotation angle must be finite, got {angle}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "0110", "--tolerance", "5"),
+        ("classify", "0110", "--max-qubits", "-3"),
+        ("verify", "2", "--max-qubits", "2"),
+        ("fault", "0011", "+001", "--tolerance", "0.1"),
+        ("equiv", "0011", "--max-qubits", "4"),
+        ("gen", "2", "--tolerance", "0.1"),
+        ("factor", "(1 -1)/sqrt(2)", "--max-qubits", "4"),
+    ],
+)
+def test_unread_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_flags_where_they_are_read(capsys):
+    assert run_cli(capsys, "simulate", "0011", "+001", "--tolerance", "1e-6")[:2] == (0, "+101\n")
+    assert run_cli(capsys, "simulate", "0011", "+001", "--max-qubits", "2")[0] == 1
+    assert run_cli(capsys, "fault", "0011", "+001", "--max-qubits", "2")[0] == 1
+    assert run_cli(capsys, "gen", "2", "--max-qubits", "1")[0] == 1
+    assert run_cli(capsys, "equiv", "0011", "--tolerance", "1e-6")[0] == 0
+    assert run_cli(capsys, "factor", "(1 -1)/sqrt(2)", "--tolerance", "1e-6")[0] == 0
+
+
 def test_factor(capsys):
     code, out, _ = run_cli(capsys, "factor", "(1 -1 -1 1 -1 1 1 -1)/sqrt(8)")
     assert code == 0

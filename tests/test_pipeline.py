@@ -1,10 +1,21 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
+from symtest import pipeline
 from symtest.bitops import int_to_bits
-from symtest.boolfunc import NotAdmissibleError, TruthTable, generate_functions, hex_decode
+from symtest.boolfunc import (
+    NotAdmissibleError,
+    ParityForm,
+    TruthTable,
+    from_parity_form,
+    generate_functions,
+    hex_decode,
+)
+from symtest.oracle import QuantumOracle
 from symtest.pipeline import (
     CorruptOracleEntry,
     PipelineResult,
@@ -17,7 +28,7 @@ from symtest.pipeline import (
     success_probability,
     verify_all,
 )
-from symtest.statevec import BasisKet, NotBasisStateError, parse_ket
+from symtest.statevec import BasisKet, NotBasisStateError, parse_ket, read_basis_columns
 
 tt = TruthTable.from_string
 
@@ -153,6 +164,92 @@ def test_verify_all_reports():
         verify_all(7)
 
 
+def test_verify_all_reports_disagreement(monkeypatch):
+    # A predictor that flips the sign for f = 0011 only: every input of
+    # that f fails, in input order, and every other f still passes.
+    real = pipeline._prediction
+
+    def wrong(pf, index, sign):
+        out_index, out_sign = real(pf, index, sign)
+        return out_index, -out_sign if (pf.mask, pf.complement) == ((1, 0), 0) else out_sign
+
+    monkeypatch.setattr(pipeline, "_prediction", wrong)
+    report = verify_all(2)
+    assert report.failures == [
+        "f=3 x=+001 got=+101 want=-101",
+        "f=3 x=-001 got=-101 want=+101",
+        "f=3 x=+011 got=+111 want=-111",
+        "f=3 x=-011 got=-111 want=+111",
+        "f=3 x=+101 got=+001 want=-001",
+        "f=3 x=-101 got=-001 want=+001",
+        "f=3 x=+111 got=+011 want=-011",
+        "f=3 x=-111 got=-011 want=+011",
+    ]
+    assert report.summary() == "FAIL 8/64"
+    assert report.render() == "\n".join(report.failures + ["FAIL 8/64"])
+
+
+def test_verify_all_reports_non_basis_output(monkeypatch):
+    # The oracle for f = 1001 is built from the AND table 0001 instead,
+    # so no column of that f reads out as a basis state.
+    real = QuantumOracle
+
+    def oracle(table):
+        return real(tt("0001") if table == tt("1001") else table)
+
+    monkeypatch.setattr(pipeline, "QuantumOracle", oracle)
+    report = verify_all(2)
+    assert report.failures == [
+        "f=9 x=+001 got=NotBasisState want=-111",
+        "f=9 x=-001 got=NotBasisState want=+111",
+        "f=9 x=+011 got=NotBasisState want=-101",
+        "f=9 x=-011 got=NotBasisState want=+101",
+        "f=9 x=+101 got=NotBasisState want=-011",
+        "f=9 x=-101 got=NotBasisState want=+011",
+        "f=9 x=+111 got=NotBasisState want=-001",
+        "f=9 x=-111 got=NotBasisState want=+001",
+    ]
+    assert report.render().splitlines()[-1] == "FAIL 8/64"
+
+
+def _random_inputs(data, n, count):
+    index = data.draw(hyp.lists(hyp.integers(0, (1 << n) - 1), min_size=1, max_size=count))
+    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=len(index), max_size=len(index)))
+    return [BasisKet(s, int_to_bits(x, n) + (1,)) for x, s in zip(index, sign)]
+
+
+def _random_function(data, n):
+    mask = tuple(data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n)))
+    return from_parity_form(ParityForm(n, mask, data.draw(hyp.integers(0, 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_batched_columns_match_run_and_predict(data):
+    n = data.draw(hyp.integers(1, 10))
+    f = _random_function(data, n)
+    kets = _random_inputs(data, n, 8)
+    batch = pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets])
+    index, sign = read_basis_columns(batch)
+    for j, ket in enumerate(kets):
+        got = BasisKet(int(sign[j]), int_to_bits(int(index[j]), n + 1))
+        assert got == run(f, ket).output == predict(f, ket).output
+        assert np.array_equal(batch[:, j], run_vector(f, ket).amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_flipped_entry_fails_readout_in_every_column(data):
+    n = data.draw(hyp.integers(2, 10))
+    bits = list(_random_function(data, n).bits)
+    bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
+    kets = _random_inputs(data, n, 8)
+    f = TruthTable(n, tuple(bits))
+    batch = pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets])
+    _, sign = read_basis_columns(batch)
+    assert not sign.any()
+
+
 # fault injection
 
 
@@ -179,6 +276,7 @@ def test_every_skip_fault_halves_success(n):
             for q in range(n + 1):
                 p = success_probability(f, ket, SkipHadamard(layer, q))
                 assert p == pytest.approx(0.5, abs=1e-12)
+                assert p == 0.5
                 assert p < 1.0
 
 
@@ -215,6 +313,9 @@ def test_fault_validation():
         success_probability(f, ket, SkipHadamard("middle", 0))
     with pytest.raises(ValueError):
         success_probability(f, ket, RotateQubit("first", -1, 0.1))
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            success_probability(f, ket, RotateQubit("first", 1, angle))
     with pytest.raises(ValueError):
         success_probability(f, ket, CorruptOracleEntry(4))
     with pytest.raises(ValueError):

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as hyp
+from hypothesis import given, settings, strategies as hyp
 
 from symtest.statevec import (
     BasisKet,
     EntangledError,
     NotBasisStateError,
     StateVector,
+    butterfly,
     factor_product_state,
     format_vector,
     hadamard_all,
     ket_to_vector,
     parse_ket,
     parse_vector,
+    read_basis_columns,
     vector_to_ket,
 )
 
@@ -107,6 +109,42 @@ def test_hadamard_involution_property(index, sign):
     v = ket_to_vector(BasisKet(sign, bits))
     back = hadamard_all(hadamard_all(v))
     assert np.allclose(back.amplitudes, v.amplitudes, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(hyp.integers(1, 8), hyp.integers(1, 8), hyp.data())
+def test_butterfly_batch_matches_columns(k, width, data):
+    qubit = data.draw(hyp.integers(0, k - 1))
+    seed = data.draw(hyp.integers(0, 2**32 - 1))
+    batch = np.random.default_rng(seed).standard_normal((1 << k, width))
+    pairs = batch.reshape(1 << qubit, 2, -1)
+    expected = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+    columns = [batch[:, j].copy() for j in range(width)]
+    butterfly(batch, qubit)
+    assert np.array_equal(batch, expected.reshape(batch.shape))
+    for j, col in enumerate(columns):
+        butterfly(col, qubit)
+        assert np.array_equal(batch[:, j], col)
+
+
+def test_butterfly_rejects_strided_array():
+    batch = np.zeros((4, 2))
+    with pytest.raises(ValueError):
+        butterfly(batch[:, 0], 0)
+
+
+def test_read_basis_columns():
+    batch = np.array(
+        [
+            [0.0, 0.0, 0.5, np.nan],
+            [-1.0, 0.0, 0.5, 0.0],
+            [0.0, 1.0, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.0],
+        ]
+    )
+    index, sign = read_basis_columns(batch)
+    assert sign.tolist() == [-1, 1, 0, 0]
+    assert index[:2].tolist() == [1, 2]
 
 
 def test_factor_reference_product_state():
