@@ -14,11 +14,9 @@ from .boolfunc import (
     ParityForm,
     TruthTable,
     classify,
-    delta_between,
     from_parity_form,
     generate_functions,
     hex_decode,
-    hex_encode,
     is_admissible,
     is_invariant_under,
     padded_hex,
@@ -60,7 +58,6 @@ from .statevec import (
     NotBasisStateError,
     StateVector,
     factor_product_state,
-    format_ket,
     format_vector,
     hadamard_all,
     ket_to_vector,

@@ -7,11 +7,6 @@ Bit sequences are MSB-first: element 0 of a vector is the leftmost label
 from collections.abc import Sequence
 
 
-def parity(value: int) -> int:
-    """XOR fold of the set bits of a nonnegative integer."""
-    return value.bit_count() & 1
-
-
 def bits_to_int(bits: Sequence[int]) -> int:
     out = 0
     for b in bits:
@@ -23,12 +18,6 @@ def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     if value < 0 or value >> width:
         raise ValueError(f"{value} does not fit in {width} bits")
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def xor_bits(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise ValueError(f"bit-vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
 
 
 def parse_bits(text: str) -> tuple[int, ...]:

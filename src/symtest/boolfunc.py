@@ -1,11 +1,11 @@
 """Boolean functions with recursive symmetry and their affine parity form.
 
-A function on n variables is stored as its truth table: 2^n output bits
-ordered by input value, x1 being the most significant input bit (inputs
-count 00, 01, 10, 11, ...).  The functions of interest here are the
-"admissible" ones: tables that are symmetric (equal to their reversal) or
-antisymmetric (equal to the complement of their reversal) at every
-recursive halving level.  These are exactly the affine parity functions
+A function on n variables is stored as its truth table: 2^n output bits,
+one 0/1 byte each, ordered by input value, x1 being the most significant
+input bit (inputs count 00, 01, 10, 11, ...).  The functions of interest
+here are the "admissible" ones: tables that are symmetric (equal to their
+reversal) or antisymmetric (equal to the complement of their reversal) at
+every recursive halving level.  These are exactly the affine parity functions
 f(x) = c XOR parity(x AND m), and there are 2^(n+1) of them: 2^n
 "positive" (leading bit 0) and 2^n "negative" (leading bit 1).
 """
@@ -13,11 +13,16 @@ f(x) = c XOR parity(x AND m), and there are 2^(n+1) of them: 2^n
 from dataclasses import dataclass
 from enum import Enum
 
-from .bitops import bits_to_int, format_bits, int_to_bits, parity, parse_bits, xor_bits
+import numpy as np
+
+from .bitops import bits_to_int
 
 MAX_N = 20
 
-_FLIP = str.maketrans("01", "10")
+# bytes.translate tables: complement 0/1 entries, and map them to and from text.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_TEXT = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class NotAdmissibleError(ValueError):
@@ -30,46 +35,60 @@ class FunctionClass(Enum):
     NOT_ADMISSIBLE = "NotAdmissible"
 
 
+def _check_n(n: int, max_n: int = MAX_N) -> None:
+    if not 1 <= n <= max_n:
+        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
-    """A Boolean function on n variables as an ordered 2^n bit sequence."""
+    """A Boolean function on n variables as an ordered 2^n bit sequence,
+    given as any 0/1 sequence and stored as bytes, one byte per entry."""
 
     n: int
-    bits: tuple[int, ...]
+    table: bytes
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in 1..{MAX_N}, got {self.n}")
-        if len(self.bits) != 1 << self.n:
+        _check_n(self.n)
+        if isinstance(self.table, int):
+            raise TypeError("truth table must be a 0/1 sequence, not an int")
+        table = bytes(self.table)
+        if len(table) != 1 << self.n:
             raise ValueError(
-                f"truth table for n={self.n} needs {1 << self.n} bits, got {len(self.bits)}"
+                f"truth table for n={self.n} needs {1 << self.n} bits, got {len(table)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if table.translate(None, b"\0\1"):
             raise ValueError("truth table bits must be 0 or 1")
-
-    @classmethod
-    def from_bits(cls, bits) -> "TruthTable":
-        bits = tuple(bits)
-        n = max(len(bits), 2).bit_length() - 1
-        return cls(n, bits)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_value(cls, n: int, value: int) -> "TruthTable":
-        return cls(n, int_to_bits(value, 1 << n))
+        _check_n(n)
+        size = 1 << n
+        if value < 0 or value >> size:
+            raise ValueError(f"{value} does not fit in {size} bits")
+        return cls(n, format(value, f"0{size}b").encode().translate(_BITS))
 
     @classmethod
     def from_string(cls, text: str) -> "TruthTable":
-        return cls.from_bits(parse_bits(text))
+        raw = text.encode()
+        if not raw or raw.translate(None, b"01"):
+            raise ValueError(f"not a bit string: {text!r}")
+        return cls(max(len(raw), 2).bit_length() - 1, raw.translate(_BITS))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.table)
 
     @property
     def value(self) -> int:
-        return bits_to_int(self.bits)
+        return int(str(self), 2)
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, tuple(1 - b for b in self.bits))
+        return TruthTable(self.n, self.table.translate(_FLIP))
 
     def __str__(self) -> str:
-        return format_bits(self.bits)
+        return self.table.translate(_TEXT).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -108,79 +127,76 @@ def generate_functions(n: int, max_n: int = MAX_N) -> tuple[list[TruthTable], li
     which is ascending; negatives are reported in ascending numerical
     order for n >= 2.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
-    positives = [(0, 0), (0, 1)]
-    negatives = [(1, 1), (1, 0)]
+    _check_n(n, max_n)
+    positives = [b"\0\0", b"\0\1"]
+    negatives = [b"\1\1", b"\1\0"]
     for _ in range(n - 1):
-        level = sorted(positives + negatives)
-        pos: list[tuple[int, ...]] = []
-        neg: list[tuple[int, ...]] = []
-        for g in level:
-            mirror = tuple(1 - b for b in g)
-            for table in (g + g, g + mirror):
+        pos: list[bytes] = []
+        neg: list[bytes] = []
+        for g in sorted(positives + negatives):
+            for table in (g + g, g + g.translate(_FLIP)):
                 (pos if table[0] == 0 else neg).append(table)
         positives, negatives = pos, sorted(neg)
     return (
-        [TruthTable(n, bits) for bits in positives],
-        [TruthTable(n, bits) for bits in negatives],
+        [TruthTable(n, table) for table in positives],
+        [TruthTable(n, table) for table in negatives],
     )
 
 
 def is_admissible(tt: TruthTable) -> bool:
-    """True iff the table is symmetric or antisymmetric at every halving level."""
-    return _admissible(str(tt))
+    """True iff the table is symmetric or antisymmetric at every halving level.
+
+    Once a block passes, its right half is the (possibly complemented)
+    reversal of its left half, and both operations preserve
+    admissibility, so only the left half is checked further.
+    """
+    s = tt.table
+    while len(s) > 2:
+        r = s[::-1]
+        if r != s and r.translate(_FLIP) != s:
+            return False
+        s = s[: len(s) // 2]
+    return True
 
 
-def _admissible(s: str) -> bool:
-    if len(s) == 2:
-        return True
-    r = s[::-1]
-    if r != s and r.translate(_FLIP) != s:
-        return False
-    half = len(s) // 2
-    return _admissible(s[:half]) and _admissible(s[half:])
+def _parity_table(pf: ParityForm) -> bytes:
+    """Table of c XOR parity(x AND m), doubled once per variable: the new,
+    more significant variable copies the table, or its complement where
+    its mask bit is set.  x_n is the least significant index bit, so the
+    mask is read from the end."""
+    t = bytes([pf.complement])
+    for bit in reversed(pf.mask):
+        t += t.translate(_FLIP) if bit else t
+    return t
 
 
 def to_parity_form(tt: TruthTable) -> ParityForm:
     """Extract (mask, complement) with mask bit i = f(e_i) XOR f(0).
 
-    The candidate form is verified against every table entry; a table
-    that is not an affine parity function raises NotAdmissibleError.
+    The candidate form is checked against the whole table; a table that
+    is not an affine parity function raises NotAdmissibleError.
     """
-    c = tt.bits[0]
-    mask = tuple(tt.bits[1 << (tt.n - 1 - i)] ^ c for i in range(tt.n))
-    m = bits_to_int(mask)
-    for i, bit in enumerate(tt.bits):
-        if bit != c ^ parity(i & m):
-            raise NotAdmissibleError(f"{tt} is not an affine parity function")
-    return ParityForm(tt.n, mask, c)
+    t = tt.table
+    c = t[0]
+    pf = ParityForm(tt.n, tuple(t[1 << (tt.n - 1 - i)] ^ c for i in range(tt.n)), c)
+    if _parity_table(pf) != t:
+        raise NotAdmissibleError(f"{tt} is not an affine parity function")
+    return pf
 
 
 def from_parity_form(pf: ParityForm) -> TruthTable:
-    m = pf.mask_value
-    bits = tuple(pf.complement ^ parity(i & m) for i in range(1 << pf.n))
-    return TruthTable(pf.n, bits)
+    return TruthTable(pf.n, _parity_table(pf))
 
 
 def classify(tt: TruthTable) -> FunctionClass:
     if not is_admissible(tt):
         return FunctionClass.NOT_ADMISSIBLE
-    return FunctionClass.NEGATIVE if tt.bits[0] else FunctionClass.POSITIVE
-
-
-def hex_encode(tt: TruthTable) -> str:
-    """Uppercase hex of the table value, most significant bit first, unpadded."""
-    return format(tt.value, "X")
+    return FunctionClass.NEGATIVE if tt.table[0] else FunctionClass.POSITIVE
 
 
 def padded_hex(tt: TruthTable) -> str:
-    """Hex zero-padded to the table's full width (one digit per 4 bits)."""
-    return format(tt.value, f"0{hex_width(tt.n)}X")
-
-
-def hex_width(n: int) -> int:
-    return max(1, (1 << n) // 4)
+    """Uppercase hex of the table value, zero-padded to one digit per 4 bits."""
+    return format(tt.value, f"0{max(1, (1 << tt.n) // 4)}X")
 
 
 def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
@@ -190,8 +206,7 @@ def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
     or "0x" prefix, or bare hex.  A bare all-0/1 string whose length is
     not 2^n is read as hex.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+    _check_n(n, max_n)
     size = 1 << n
     s = text.strip()
     if s.startswith("$"):
@@ -199,8 +214,8 @@ def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
     elif s[:2].lower() == "0x":
         body = s[2:]
     else:
-        if s and all(c in "01" for c in s) and len(s) == size:
-            return TruthTable(n, parse_bits(s))
+        if len(s) == size and not s.strip("01"):
+            return TruthTable.from_string(s)
         body = s
     try:
         value = int(body, 16)
@@ -211,17 +226,12 @@ def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
     return TruthTable.from_value(n, value)
 
 
-def delta_between(x, y) -> tuple[int, ...]:
-    """The shift D with y = x XOR D, computed bitwise."""
-    return xor_bits(x, y)
-
-
 def is_invariant_under(tt: TruthTable, delta) -> bool:
     """True iff f(x) = f(x XOR delta) for every input x."""
     if len(delta) != tt.n:
         raise ValueError(f"delta must have {tt.n} bits, got {len(delta)}")
-    d = bits_to_int(tuple(delta))
-    return all(tt.bits[i] == tt.bits[i ^ d] for i in range(1 << tt.n))
+    f = np.frombuffer(tt.table, np.uint8)
+    return bool(np.array_equal(f, f[np.arange(f.size) ^ bits_to_int(tuple(delta))]))
 
 
 def function_line(tt: TruthTable) -> str:

@@ -12,7 +12,7 @@ render flag annotates that.
 from dataclasses import dataclass
 
 from .bitops import format_bits, int_to_bits
-from .boolfunc import ParityForm, TruthTable, from_parity_form, generate_functions, hex_width
+from .boolfunc import ParityForm, TruthTable, from_parity_form, generate_functions, padded_hex
 
 MAX_CHART_N = 6
 
@@ -91,14 +91,11 @@ def render(item, format: str = "text", signed: bool = False) -> str:
 
 
 def _render_catalog(catalog: FunctionCatalog, format: str) -> str:
-    width = hex_width(catalog.n)
     if format == "csv":
         return "".join(
-            f"{label},{tt},{tt.value:0{width}X},{tt.value}\n" for label, tt in catalog.entries
+            f"{label},{tt},{padded_hex(tt)},{tt.value}\n" for label, tt in catalog.entries
         )
-    return "".join(
-        f"{label} {tt.value:0{width}X} {tt.value}\n" for label, tt in catalog.entries
-    )
+    return "".join(f"{label} {padded_hex(tt)} {tt.value}\n" for label, tt in catalog.entries)
 
 
 def _render_chart(chart: MappingChart, format: str, signed: bool) -> str:

@@ -24,7 +24,7 @@ class QuantumOracle:
         self.function = function
         self.k = function.n + 1
         perm = np.arange(1 << self.k)
-        ones = 2 * np.flatnonzero(np.array(function.bits))
+        ones = 2 * np.flatnonzero(np.frombuffer(function.table, np.uint8))
         perm[ones], perm[ones + 1] = ones + 1, ones
         perm.flags.writeable = False
         self.permutation = perm

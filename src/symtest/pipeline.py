@@ -26,7 +26,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .bitops import int_to_bits, xor_bits
+from .bitops import int_to_bits
 from .boolfunc import (
     ParityForm,
     TruthTable,
@@ -132,9 +132,9 @@ def _simulate_raw(
 
     table = f
     if isinstance(fault, CorruptOracleEntry):
-        bits = list(f.bits)
-        bits[fault.index] ^= 1
-        table = TruthTable(f.n, tuple(bits))
+        flipped = bytearray(f.table)
+        flipped[fault.index] ^= 1
+        table = TruthTable(f.n, flipped)
 
     arr = np.zeros((1 << k, len(index)))
     arr[index, np.arange(len(index))] = sign
@@ -206,7 +206,7 @@ def solve_function(input: BasisKet, desired: BasisKet) -> TruthTable:
         raise ValueError(f"state widths differ: {input.k} vs {desired.k}")
     if input.bits[-1] != 1 or desired.bits[-1] != 1:
         raise ValueError("both states must end in the ancilla bit 1")
-    mask = xor_bits(input.bits[:-1], desired.bits[:-1])
+    mask = int_to_bits((input.index ^ desired.index) >> 1, input.k - 1)
     complement = 0 if input.sign == desired.sign else 1
     return from_parity_form(ParityForm(input.k - 1, mask, complement))
 

@@ -60,14 +60,10 @@ def parse_ket(text: str) -> BasisKet:
     """Parse a signed bitstring such as "+10001" or "-00101"; sign optional."""
     s = text.strip()
     sign = 1
-    if s[:1] in "+-":
+    if s[:1] in ("+", "-"):
         sign = 1 if s[0] == "+" else -1
         s = s[1:]
     return BasisKet(sign, parse_bits(s))
-
-
-def format_ket(ket: BasisKet) -> str:
-    return str(ket)
 
 
 class StateVector:
@@ -79,6 +75,9 @@ class StateVector:
         arr = np.array(amplitudes, dtype=float)
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > norm_tol:
             raise ValueError(f"state vector norm {norm} differs from 1 by more than {norm_tol}")
@@ -218,7 +217,10 @@ def parse_vector(text: str) -> StateVector:
     divisor = 1.0
     m = _SQRT_SUFFIX.search(s)
     if m:
-        divisor = math.sqrt(int(m.group(1)))
+        radicand = int(m.group(1))
+        if not radicand:
+            raise ValueError(f"malformed vector: {text!r} divides by sqrt(0)")
+        divisor = math.sqrt(radicand)
         s = s[: m.start()]
     s = s.strip().strip("()").replace(",", " ")
     try:

@@ -1,19 +1,19 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as hyp
 
 from symtest.boolfunc import (
+    MAX_N,
     FunctionClass,
     NotAdmissibleError,
     ParityForm,
     TruthTable,
     classify,
-    delta_between,
     from_parity_form,
     generate_functions,
     hex_decode,
-    hex_encode,
     is_admissible,
     is_invariant_under,
     padded_hex,
@@ -200,10 +200,10 @@ def test_complement_swaps_class(n):
 # hex encoding
 
 
-def test_hex_encode_examples():
-    assert hex_encode(tt("0011110000111100")) == "3C3C"
+def test_padded_hex_examples():
+    assert padded_hex(tt("0011110000111100")) == "3C3C"
     assert tt("0011110000111100").value == 15420
-    assert hex_encode(tt("0000")) == "0"
+    assert padded_hex(tt("0000000011111111")) == "00FF"
     assert padded_hex(tt("0000")) == "0"
     assert padded_hex(TruthTable.from_value(3, 0x0F)) == "0F"
 
@@ -218,7 +218,7 @@ def test_hex_decode_prefixes():
 def test_hex_decode_round_trip():
     for value in (0, 3, 15420, 65535):
         t = TruthTable.from_value(4, value)
-        assert hex_decode(hex_encode(t), 4) == t
+        assert hex_decode(padded_hex(t), 4) == t
 
 
 def test_hex_decode_errors():
@@ -231,21 +231,6 @@ def test_hex_decode_errors():
 
 
 # shift invariance
-
-
-def test_delta_between_examples():
-    assert delta_between((1, 0, 0, 0), (1, 1, 1, 0)) == (0, 1, 1, 0)
-    assert delta_between((1, 0), (1, 0)) == (0, 0)
-    with pytest.raises(ValueError):
-        delta_between((1, 0), (1, 0, 1))
-
-
-def test_delta_between_symmetric_function_exhaustive():
-    # independent check: 0110 satisfies f(x) = f(x XOR 11) on all 4 inputs
-    table = tt("0110")
-    assert all(table.bits[x] == table.bits[x ^ 0b11] for x in range(4))
-    assert delta_between((0, 0), (1, 1)) == (1, 1)
-    assert is_invariant_under(table, (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -284,6 +269,14 @@ def test_truth_table_validation():
         TruthTable(0, ())
     with pytest.raises(ValueError):
         TruthTable(21, (0,) * (1 << 21))
+    with pytest.raises(ValueError):
+        TruthTable(2, b"\0\1\2\0")
+    with pytest.raises(TypeError):
+        TruthTable(2, 4)  # an int is not a table, although bytes(4) would be
+    with pytest.raises(ValueError):
+        TruthTable.from_string("01a1")
+    with pytest.raises(ValueError):
+        TruthTable.from_value(2, 16)
 
 
 def test_parity_form_validation():
@@ -291,3 +284,85 @@ def test_parity_form_validation():
         ParityForm(2, (1,), 0)
     with pytest.raises(ValueError):
         ParityForm(2, (1, 0), 2)
+
+
+# the byte-string representation
+
+
+def reference_admissible(s: str) -> bool:
+    """The recursive definition: symmetric or antisymmetric at every halving level."""
+    if len(s) == 2:
+        return True
+    r = s[::-1]
+    if r != s and r.translate(str.maketrans("01", "10")) != s:
+        return False
+    half = len(s) // 2
+    return reference_admissible(s[:half]) and reference_admissible(s[half:])
+
+
+def parity_bits(n, mask, c):
+    """Truth table of c XOR parity(x AND mask), entry by entry."""
+    return [c ^ (bin(i & mask).count("1") & 1) for i in range(1 << n)]
+
+
+@given(
+    hyp.integers(min_value=1, max_value=12).flatmap(
+        lambda n: hyp.tuples(
+            hyp.just(n),
+            hyp.integers(0, (1 << n) - 1),
+            hyp.integers(0, 1),
+            hyp.lists(hyp.integers(0, (1 << n) - 1), max_size=3, unique=True),
+        )
+    )
+)
+def test_representation_properties(args):
+    """Every way of building a table gives one equal, equally hashed value;
+    the derived forms agree with per-entry references."""
+    n, mask, c, flips = args
+    bits = parity_bits(n, mask, c)
+    for i in flips:
+        bits[i] ^= 1
+    bits = tuple(bits)
+    text = "".join(map(str, bits))
+    value = int(text, 2)
+    t = TruthTable(n, bits)
+    same = [
+        TruthTable(n, bytes(bits)),
+        TruthTable(n, bytearray(bits)),
+        TruthTable(n, np.array(bits, dtype=np.uint8)),
+        TruthTable.from_string(text),
+        TruthTable.from_value(n, value),
+        hex_decode(f"${value:X}", n),
+        hex_decode(padded_hex(t), n),
+    ]
+    if not flips:
+        mask_bits = tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+        same.append(from_parity_form(ParityForm(n, mask_bits, c)))
+    for other in same:
+        assert other == t and hash(other) == hash(t)
+    assert type(t.bits) is tuple and t.bits == bits
+    assert all(type(b) is int for b in t.bits)
+    assert (str(t), t.value) == (text, value)
+    assert t.complement().bits == tuple(1 - b for b in bits)
+    assert is_admissible(t) == reference_admissible(text)
+
+
+def test_max_n_round_trip():
+    """hex -> classify -> parity form -> hex at the default cap, n = MAX_N."""
+    n = MAX_N
+    mask = 0xA5C3F
+    pf = ParityForm(n, tuple((mask >> (n - 1 - i)) & 1 for i in range(n)), 1)
+    text = padded_hex(from_parity_form(pf))
+    assert len(text) == 1 << (n - 2)
+    t = hex_decode("$" + text, n)
+    assert classify(t) is FunctionClass.NEGATIVE
+    assert to_parity_form(t) == pf
+    assert padded_hex(t) == text
+    for i in (0, 1, 12345, (1 << n) - 1):
+        assert t.bits[i] == 1 ^ (bin(i & mask).count("1") & 1)
+    flipped = bytearray(t.table)
+    flipped[777] ^= 1
+    broken = TruthTable(n, flipped)
+    assert classify(broken) is FunctionClass.NOT_ADMISSIBLE
+    with pytest.raises(NotAdmissibleError):
+        to_parity_form(broken)

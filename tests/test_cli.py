@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from symtest.cli import dispatch, parse_fault, parse_function
@@ -165,6 +167,31 @@ def test_factor_entangled(capsys):
     code, _, err = run_cli(capsys, "factor", "(1 0 0 1)/sqrt(2)")
     assert code == 1
     assert err.startswith("Entangled:")
+
+
+@pytest.mark.parametrize("vector", ["(nan 0)", "(0 nan)", "(inf 0)", "(0 0)/sqrt(0)"])
+def test_factor_rejects_non_finite_vector(capsys, vector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "factor", vector)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "0011", ""),
+        ("simulate", "0011", "  "),
+        ("fault", "0011", "+"),
+        ("solve", "", "+01"),
+        ("solve", "+01", "-"),
+    ],
+)
+def test_empty_state_argument(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: not a bit string")
 
 
 def test_matrix(capsys):

@@ -182,6 +182,9 @@ def test_state_vector_validation():
         StateVector([1, 0, 0])  # not a power of two
     with pytest.raises(ValueError):
         StateVector([1, 1])  # norm != 1
+    for bad in ([math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            StateVector(bad)
     v = StateVector([1, 0])
     with pytest.raises(ValueError):
         v.amplitudes[0] = 0.0  # frozen
@@ -203,6 +206,9 @@ def test_ket_parse_format():
     assert str(-parse_ket("+101")) == "-101"
     with pytest.raises(ValueError):
         parse_ket("+10a")
+    for empty in ("", "   ", "+", "-"):
+        with pytest.raises(ValueError, match="not a bit string"):
+            parse_ket(empty)
 
 
 def test_vector_format_styles():
@@ -221,6 +227,9 @@ def test_vector_parse_round_trip():
         parse_vector("(1 nope)/sqrt(2)")
     with pytest.raises(ValueError):
         parse_vector("")
+    for text in ("(nan 0)", "(0 nan)", "(inf 0)", "(1 0)/sqrt(0)"):
+        with pytest.raises(ValueError):
+            parse_vector(text)
 
 
 def test_ket_to_vector_cap():
