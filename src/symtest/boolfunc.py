@@ -71,10 +71,8 @@ class TruthTable:
 
     @classmethod
     def from_string(cls, text: str) -> "TruthTable":
-        raw = text.encode()
-        if not raw or raw.translate(None, b"01"):
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(max(len(raw), 2).bit_length() - 1, raw.translate(_BITS))
+        table = text.encode().translate(_BITS)
+        return cls(max(len(table), 2).bit_length() - 1, table)
 
     @property
     def bits(self) -> tuple[int, ...]:
