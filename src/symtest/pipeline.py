@@ -151,7 +151,8 @@ def _simulate_raw(
             _rotate(arr, fault.qubit, fault.angle)
         if layer == "first":
             perm = QuantumOracle(table).permutation
-            arr = arr[perm] if out is None else np.take(arr, perm, axis=0, out=out)
+            # perm holds each index once: "clip" clips nothing but spares take a buffer.
+            arr = arr[perm] if out is None else np.take(arr, perm, axis=0, out=out, mode="clip")
     return arr, stages
 
 

@@ -208,7 +208,8 @@ def format_vector(v: StateVector) -> str:
     return f"({body})"
 
 
-_SQRT_SUFFIX = re.compile(r"/\s*(?:√|sqrt)\s*\(?\s*(\d+)\s*\)?\s*$", re.IGNORECASE)
+# The radicand must be nonzero: "/sqrt(0)" is no suffix, so it reads as malformed.
+_SQRT_SUFFIX = re.compile(r"/\s*(?:√|sqrt)\s*\(?\s*(0*[1-9]\d*)\s*\)?\s*$", re.IGNORECASE)
 
 
 def parse_vector(text: str) -> StateVector:
@@ -217,10 +218,7 @@ def parse_vector(text: str) -> StateVector:
     divisor = 1.0
     m = _SQRT_SUFFIX.search(s)
     if m:
-        radicand = int(m.group(1))
-        if not radicand:
-            raise ValueError(f"malformed vector: {text!r} divides by sqrt(0)")
-        divisor = math.sqrt(radicand)
+        divisor = math.sqrt(int(m.group(1)))
         s = s[: m.start()]
     s = s.strip().strip("()").replace(",", " ")
     try:
