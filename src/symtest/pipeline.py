@@ -262,7 +262,7 @@ def verify_all(n: int, max_n: int = 6) -> VerifyReport:
     batch, ordered x ascending with + before -, and compares the readout
     of every column with the parity-form prediction.  All f share two
     batch arrays: freeing them per f let malloc shrink and regrow the
-    heap each time in some heap layouts, which made `verify 6` 40 % slower.
+    heap each time in some heap layouts, and `verify 6` ran ~40 % slower.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be in 1..{max_n}, got {n}")
