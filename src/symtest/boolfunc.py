@@ -52,7 +52,14 @@ class TruthTable:
         _check_n(self.n)
         if isinstance(self.table, int):
             raise TypeError("truth table must be a 0/1 sequence, not an int")
-        table = bytes(self.table)
+        table = self.table
+        if getattr(table, "itemsize", 1) != 1:
+            # A wide numpy or array.array buffer: bytes() would read its raw memory.
+            table = table.tolist()
+        try:
+            table = bytes(table)
+        except ValueError:
+            raise ValueError("truth table bits must be 0 or 1") from None
         if len(table) != 1 << self.n:
             raise ValueError(
                 f"truth table for n={self.n} needs {1 << self.n} bits, got {len(table)}"

@@ -137,7 +137,8 @@ def _simulate_raw(
         flipped[fault.index] ^= 1
         table = TruthTable(f.n, flipped)
 
-    arr, out = work or (np.empty((1 << k, len(index))), None)
+    shape = (1 << k, len(index))
+    arr, out = work or (np.empty(shape), np.empty(shape))
     arr.fill(0.0)
     arr[index, np.arange(len(index))] = sign
     stages = 0
@@ -151,8 +152,9 @@ def _simulate_raw(
             _rotate(arr, fault.qubit, fault.angle)
         if layer == "first":
             perm = QuantumOracle(table).permutation
-            # perm holds each index once: "clip" clips nothing but spares take a buffer.
-            arr = arr[perm] if out is None else np.take(arr, perm, axis=0, out=out, mode="clip")
+            # perm holds each index once: "clip" clips nothing but lets take write
+            # straight into out (take still copies perm, as it is read-only).
+            arr = np.take(arr, perm, axis=0, out=out, mode="clip")
     return arr, stages
 
 

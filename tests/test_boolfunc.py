@@ -1,3 +1,4 @@
+import array
 from itertools import product
 
 import numpy as np
@@ -271,8 +272,27 @@ def test_truth_table_validation():
         TruthTable(21, (0,) * (1 << 21))
     with pytest.raises(ValueError):
         TruthTable(2, b"\0\1\2\0")
+    with pytest.raises(ValueError, match="0 or 1"):
+        TruthTable(2, (0, 1, 256, 0))
+    with pytest.raises(ValueError, match="0 or 1"):
+        TruthTable(2, np.array([0, 1, -1, 0]))
     with pytest.raises(TypeError):
         TruthTable(2, 4)  # an int is not a table, although bytes(4) would be
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint32, bool])
+def test_truth_table_reads_entries_not_raw_bytes(dtype):
+    table = np.array([0, 1, 1, 0], dtype=dtype)
+    assert TruthTable(2, table) == TruthTable(2, (0, 1, 1, 0))
+    if table.itemsize > 1:
+        # Its raw memory is 4 * itemsize bytes, all 0/1: a table for a larger n.
+        n = (4 * table.itemsize).bit_length() - 1
+        with pytest.raises(ValueError, match=f"needs {1 << n} bits, got 4"):
+            TruthTable(n, table)
+
+
+def test_truth_table_from_array_module():
+    assert TruthTable(2, array.array("i", [1, 0, 0, 1])) == TruthTable(2, (1, 0, 0, 1))
     with pytest.raises(ValueError):
         TruthTable.from_string("01a1")
     with pytest.raises(ValueError):
