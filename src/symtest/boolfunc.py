@@ -53,8 +53,7 @@ class TruthTable:
         if isinstance(self.table, int):
             raise TypeError("truth table must be a 0/1 sequence, not an int")
         table = self.table
-        if getattr(table, "itemsize", 1) != 1:
-            # A wide numpy or array.array buffer: bytes() would read its raw memory.
+        if getattr(table, "itemsize", 1) != 1:  # bytes() would read a wide array's raw memory
             table = table.tolist()
         try:
             table = bytes(table)
@@ -214,16 +213,10 @@ def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
     _check_n(n, max_n)
     size = 1 << n
     s = text.strip()
-    if s.startswith("$"):
-        body = s[1:]
-    elif s[:2].lower() == "0x":
-        body = s[2:]
-    else:
-        if len(s) == size and not s.strip("01"):
-            return TruthTable.from_string(s)
-        body = s
+    if len(s) == size and not s.strip("01"):
+        return TruthTable.from_string(s)
     try:
-        value = int(body, 16)
+        value = int(s.removeprefix("$"), 16)  # base-16 int() takes a "0x" prefix itself
     except ValueError:
         raise ValueError(f"malformed function string: {text!r}") from None
     if value >> size:

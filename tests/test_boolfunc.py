@@ -212,6 +212,7 @@ def test_padded_hex_examples():
 def test_hex_decode_prefixes():
     assert hex_decode("$6996", 4).value == 27030
     assert hex_decode("0x6996", 4).value == 27030
+    assert hex_decode("0X6996", 4).value == 27030
     assert hex_decode("6996", 4).value == 27030
     assert hex_decode("0011", 2) == tt("0011")
 
