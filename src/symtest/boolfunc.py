@@ -88,6 +88,13 @@ class TruthTable:
     def value(self) -> int:
         return int(str(self), 2)
 
+    def brief(self) -> str:
+        """The table as text up to 64 entries; a longer one as n and the hex
+        of its first 64 entries, so that messages stay one short line."""
+        if len(self.table) <= 64:
+            return str(self)
+        return f"${int(self.table[:64].translate(_TEXT), 2):016X}... (n={self.n})"
+
     def complement(self) -> "TruthTable":
         return TruthTable(self.n, self.table.translate(_FLIP))
 
@@ -184,7 +191,7 @@ def to_parity_form(tt: TruthTable) -> ParityForm:
     c = t[0]
     pf = ParityForm(tt.n, tuple(t[1 << (tt.n - 1 - i)] ^ c for i in range(tt.n)), c)
     if _parity_table(pf) != t:
-        raise NotAdmissibleError(f"{tt} is not an affine parity function")
+        raise NotAdmissibleError(f"{tt.brief()} is not an affine parity function")
     return pf
 
 

@@ -192,7 +192,7 @@ def run(
     index, sign = read_basis_columns(arr, tolerance)
     if not sign[0]:
         raise NotBasisStateError(
-            f"pipeline output for f={f} is not a basis state (function not admissible)"
+            f"pipeline output for f={f.brief()} is not a basis state (function not admissible)"
         )
     ket = BasisKet(int(sign[0]), int_to_bits(int(index[0]), input.k))
     return PipelineResult(ket, ket.bits[-1] == 1)

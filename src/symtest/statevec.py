@@ -75,18 +75,34 @@ class StateVector:
         arr = np.array(amplitudes, dtype=float)
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > norm_tol:
-            raise ValueError(f"state vector norm {norm} differs from 1 by more than {norm_tol}")
+        check_state_columns(arr[:, None], norm_tol)
         arr.flags.writeable = False
         self.k = arr.size.bit_length() - 1
         self.amplitudes = arr
 
     def __repr__(self) -> str:
         return f"StateVector(k={self.k}, {format_vector(self)})"
+
+
+def check_state_columns(arr: np.ndarray, norm_tol: float = 1e-9) -> None:
+    """Raise ValueError unless every column of a (2^k, B) batch is a finite
+    unit vector; the checks StateVector makes, one column at a time."""
+    norms = np.sqrt(np.einsum("ij,ij->j", arr, arr))
+    if not np.isfinite(norms).all():
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
+    bad = np.abs(norms - 1.0) > norm_tol
+    if bad.any():
+        norm = norms[bad][0]
+        raise ValueError(f"state vector norm {norm} differs from 1 by more than {norm_tol}")
+
+
+def check_tolerance(tolerance: float) -> None:
+    """A comparison tolerance must be a finite, non-negative number: NaN
+    compares false with everything, so it would pass or fail every check."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
 
 
 def ket_to_vector(ket: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
@@ -105,6 +121,7 @@ def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.nda
     `tolerance` of 0, which signals that no superposition or
     entanglement remains.  sign[j] is 0 for every other column.
     """
+    check_tolerance(tolerance)
     mags = np.abs(arr)
     cols = np.arange(arr.shape[1])
     index = np.argmax(mags, axis=0)
@@ -162,6 +179,7 @@ def factor_product_state(v: StateVector, tolerance: float = 1e-9) -> list[tuple[
     the result is checked against the input; a vector that cannot be
     reconstructed this way is entangled and raises EntangledError.
     """
+    check_tolerance(tolerance)
     factors: list[tuple[float, float]] = []
     rest = v.amplitudes
     for _ in range(v.k - 1):

@@ -138,6 +138,15 @@ def test_to_parity_form_rejects_non_admissible():
         to_parity_form(tt("00010111"))
 
 
+def test_brief_names_long_tables_by_n_and_hex_prefix():
+    short = TruthTable.from_value(6, 1)
+    assert short.brief() == str(short)
+    long = TruthTable.from_value(20, 0xA5 << ((1 << 20) - 8))
+    assert long.brief() == "$A500000000000000... (n=20)"
+    with pytest.raises(NotAdmissibleError, match=r"^\$A500000000000000\.\.\. \(n=20\) is not"):
+        to_parity_form(long)
+
+
 @pytest.mark.parametrize(
     "n,mask,c,expected",
     [

@@ -1,10 +1,20 @@
+import tracemalloc
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
-from symtest.boolfunc import NotAdmissibleError, TruthTable, generate_functions
+from symtest.boolfunc import (
+    NotAdmissibleError,
+    ParityForm,
+    TruthTable,
+    from_parity_form,
+    generate_functions,
+)
 from symtest.circuits import (
+    _CHUNK,
     CNOT,
     Circuit,
     Gate,
@@ -171,3 +181,148 @@ def test_circuit_text_form():
     f = tt("1100")
     assert str(oracle_as_cnots(f)) == "wires=3 sign=+1\nCNOT 0 2\nX 2"
     assert str(compile_equivalent(f)) == "wires=3 sign=-1\nX 0"
+
+
+# Dense reference: each gate as its full 2^k x 2^k matrix, wire 0 the
+# leftmost Kronecker factor (the most significant index bit).
+_I2 = np.eye(2)
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
+
+
+def _kron_on(k, placed):
+    return reduce(np.kron, [placed.get(w, _I2) for w in range(k)])
+
+
+def dense_unitary(circ):
+    k = circ.wires
+    u = np.eye(1 << k)
+    for g in circ.gates:
+        if g.name == "CNOT":
+            c, t = g.qubits
+            m = _kron_on(k, {c: _P0}) + _kron_on(k, {c: _P1, t: _X2})
+        else:
+            m = _kron_on(k, {g.qubits[0]: _H2 if g.name == "H" else _X2})
+        u = m @ u
+    return circ.global_sign * u
+
+
+def dense_output(circ, ket):
+    return ket.sign * dense_unitary(circ)[:, ket.index]
+
+
+@hyp.composite
+def circuits_on(draw, k):
+    kinds = ["H", "X"] + (["CNOT"] if k > 1 else [])
+    gates = []
+    for kind in draw(hyp.lists(hyp.sampled_from(kinds), max_size=12)):
+        if kind == "CNOT":
+            c, t = draw(hyp.permutations(range(k)))[:2]
+            gates.append(CNOT(c, t))
+        else:
+            gates.append(Gate(kind, (draw(hyp.integers(0, k - 1)),)))
+    return Circuit(k, tuple(gates), draw(hyp.sampled_from([1, -1])))
+
+
+def kets_on(k):
+    bits = hyp.tuples(*[hyp.integers(0, 1)] * k)
+    return hyp.builds(BasisKet, hyp.sampled_from([1, -1]), bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_batch_kernel_matches_dense_reference(data):
+    k = data.draw(hyp.integers(1, 5))
+    a = data.draw(circuits_on(k))
+    # Half the time b is a with a self-inverse pair inserted, so equal.
+    if data.draw(hyp.booleans()):
+        at = data.draw(hyp.integers(0, len(a.gates)))
+        pair = data.draw(circuits_on(k)).gates[:1] * 2
+        b = Circuit(k, a.gates[:at] + pair + a.gates[at:], a.global_sign)
+    else:
+        b = data.draw(circuits_on(k))
+    kets = data.draw(hyp.lists(kets_on(k), max_size=2 * _CHUNK + 3))
+
+    for ket in kets[:4]:
+        got = simulate_circuit(a, ket).amplitudes
+        assert np.allclose(got, dense_output(a, ket), rtol=0, atol=1e-12)
+    want = all(np.abs(dense_output(a, ket) - dense_output(b, ket)).max() <= 1e-9 for ket in kets)
+    assert assert_equivalent(a, b, inputs=kets) == want
+
+
+def test_kernel_covers_both_cnot_orders_and_h_parities():
+    # Odd and even H counts, either CNOT direction, both signs, on 3 wires.
+    for gates in (
+        (H(0), CNOT(0, 2), H(1)),
+        (H(2), CNOT(2, 0), H(2), CNOT(1, 0)),
+        (H(0), H(1), H(2), CNOT(2, 1), X(1), H(0)),
+    ):
+        for sign in (1, -1):
+            circ = Circuit(3, gates, sign)
+            for ket in iter_basis_inputs(3):
+                for signed in (ket, -ket):
+                    got = simulate_circuit(circ, signed).amplitudes
+                    assert np.allclose(got, dense_output(circ, signed), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_chunk_edges(count):
+    f = from_parity_form(ParityForm(5, (1, 0, 1, 1, 0), 1))
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    inputs = list(iter_basis_inputs(6, last_bit=1))[:count]
+    assert len(inputs) == count
+    assert assert_equivalent(wired, compiled, inputs=inputs)
+    assert assert_equivalent(wired, compiled, inputs=iter(inputs))  # one-shot generator
+    # With the sign dropped the two differ on every input, the last one too.
+    unsigned = Circuit(compiled.wires, compiled.gates)
+    assert not assert_equivalent(wired, unsigned, inputs=inputs)
+    assert not assert_equivalent(wired, unsigned, inputs=(ket for ket in inputs[-1:]))
+
+
+def test_difference_only_in_last_partial_chunk():
+    # CNOT(0, 1) acts as the identity exactly where wire 0 is 0.
+    a, b = Circuit(6), Circuit(6, (CNOT(0, 1),))
+    zero_first = [ket for ket in iter_basis_inputs(6) if ket.bits[0] == 0]
+    one_first = [ket for ket in iter_basis_inputs(6) if ket.bits[0] == 1]
+    assert assert_equivalent(a, b, inputs=zero_first)
+    inputs = zero_first[:_CHUNK] + one_first[:1]
+    assert not assert_equivalent(a, b, inputs=iter(inputs))
+    assert not assert_equivalent(a, b, inputs=zero_first[: 2 * _CHUNK] + one_first[:1])
+
+
+def test_signed_inputs():
+    f = tt("1001")
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    inputs = list(iter_basis_inputs(3, last_bit=1))
+    assert assert_equivalent(wired, compiled, inputs=[-ket for ket in inputs] + inputs)
+    for ket in inputs:
+        plus = simulate_circuit(wired, ket).amplitudes
+        assert np.array_equal(simulate_circuit(wired, -ket).amplitudes, -plus)
+        assert vector_to_ket(simulate_circuit(compiled, -ket)) == -run(f, ket).output
+
+
+def test_wrong_width_ket_in_later_chunk():
+    c = Circuit(4, (H(0), H(0)))
+    inputs = list(iter_basis_inputs(4)) + [parse_ket("+011")]
+    assert len(inputs) > _CHUNK
+    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 4 wires$"):
+        assert_equivalent(c, c, inputs=inputs)
+    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 4 wires$"):
+        simulate_circuit(c, parse_ket("+011"))
+
+
+def test_equivalence_memory_is_bounded():
+    # n = 11: 2,048 inputs of 12 wires; the per-chunk batches keep the peak
+    # near two (4096, chunk) buffers however many inputs there are.
+    f = from_parity_form(ParityForm(11, (1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1), 1))
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    tracemalloc.start()
+    try:
+        ok = assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 2 * 1024 * 1024

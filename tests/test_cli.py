@@ -178,6 +178,35 @@ def test_factor_rejects_non_finite_vector(capsys, vector):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv", [("simulate", "0110", "+001"), ("equiv", "0110"), ("factor", "(1 -1)/sqrt(2)")]
+)
+def test_bad_tolerance_is_rejected(capsys, argv, tolerance):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--tolerance", tolerance)
+    assert (code, out) == (1, "")
+    shown = {"nan": "nan", "inf": "inf", "-1": "-1.0"}[tolerance]
+    assert err == f"error: tolerance must be finite and non-negative, got {shown}\n"
+
+
+def test_rejection_messages_stay_short(capsys):
+    # A non-admissible n = 16 function: its table alone is 65,536 characters.
+    function = "$8" + "0" * 16383
+    code, _, err = run_cli(capsys, "parity", function)
+    assert code == 1
+    assert err.startswith("NotAdmissible: $8000000000000000... (n=16)")
+    assert len(err) < 200
+    code, _, err = run_cli(capsys, "simulate", function, "+" + "0" * 16 + "1")
+    assert code == 1
+    assert err.startswith("NotBasisState:")
+    assert len(err) < 200
+    # Up to 64 entries the table is still named in full.
+    code, _, err = run_cli(capsys, "parity", "$8" + "0" * 15)
+    assert err == f"NotAdmissible: 1{'0' * 63} is not an affine parity function\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

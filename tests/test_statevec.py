@@ -10,6 +10,7 @@ from symtest.statevec import (
     NotBasisStateError,
     StateVector,
     butterfly,
+    check_state_columns,
     factor_product_state,
     format_vector,
     hadamard_all,
@@ -188,6 +189,28 @@ def test_state_vector_validation():
     v = StateVector([1, 0])
     with pytest.raises(ValueError):
         v.amplitudes[0] = 0.0  # frozen
+
+
+def test_check_state_columns_names_the_first_bad_column():
+    batch = np.zeros((4, 3))
+    batch[0] = 1.0
+    check_state_columns(batch)
+    batch[1, 1] = 1.0
+    with pytest.raises(ValueError, match="norm 1.414"):
+        check_state_columns(batch)
+    batch[2, 2] = math.nan
+    with pytest.raises(ValueError, match="must be finite, got nan"):
+        check_state_columns(batch)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+def test_bad_tolerance_is_rejected(tolerance):
+    v = ket_to_vector(parse_ket("+01"))
+    for check in (vector_to_ket, factor_product_state):
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            check(v, tolerance)
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        read_basis_columns(np.eye(2), tolerance)
 
 
 def test_basis_ket_validation():
