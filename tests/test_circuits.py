@@ -1,6 +1,7 @@
 import tracemalloc
 from functools import reduce
-from itertools import permutations
+from itertools import islice, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from symtest.boolfunc import (
     from_parity_form,
     generate_functions,
 )
+from symtest import circuits
 from symtest.circuits import (
-    _CHUNK,
+    _BATCH_AMPLITUDES,
     CNOT,
     Circuit,
     Gate,
@@ -243,13 +245,16 @@ def test_batch_kernel_matches_dense_reference(data):
         b = Circuit(k, a.gates[:at] + pair + a.gates[at:], a.global_sign)
     else:
         b = data.draw(circuits_on(k))
-    kets = data.draw(hyp.lists(kets_on(k), max_size=2 * _CHUNK + 3))
+    kets = data.draw(hyp.lists(kets_on(k), max_size=12))
+    # Batches of 1 to 8 columns, so that the inputs span several of them.
+    columns = data.draw(hyp.sampled_from([1, 2, 3, 8]))
 
     for ket in kets[:4]:
         got = simulate_circuit(a, ket).amplitudes
         assert np.allclose(got, dense_output(a, ket), rtol=0, atol=1e-12)
     want = all(np.abs(dense_output(a, ket) - dense_output(b, ket)).max() <= 1e-9 for ket in kets)
-    assert assert_equivalent(a, b, inputs=kets) == want
+    with mock.patch.object(circuits, "_BATCH_AMPLITUDES", columns << k):
+        assert assert_equivalent(a, b, inputs=kets) == want
 
 
 def test_kernel_covers_both_cnot_orders_and_h_parities():
@@ -267,11 +272,21 @@ def test_kernel_covers_both_cnot_orders_and_h_parities():
                     assert np.allclose(got, dense_output(circ, signed), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+# At 12 wires a batch holds this many inputs.
+CHUNK = _BATCH_AMPLITUDES >> 12
+
+
+def _kets(wires, count, first_bit=None):
+    kets = (k for k in iter_basis_inputs(wires) if first_bit in (None, k.bits[0]))
+    return list(islice(kets, count))
+
+
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_chunk_edges(count):
-    f = from_parity_form(ParityForm(5, (1, 0, 1, 1, 0), 1))
+    assert CHUNK > 1
+    f = from_parity_form(ParityForm(11, (1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1), 1))
     wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
-    inputs = list(iter_basis_inputs(6, last_bit=1))[:count]
+    inputs = list(islice(iter_basis_inputs(12, last_bit=1), count))
     assert len(inputs) == count
     assert assert_equivalent(wired, compiled, inputs=inputs)
     assert assert_equivalent(wired, compiled, inputs=iter(inputs))  # one-shot generator
@@ -283,13 +298,12 @@ def test_chunk_edges(count):
 
 def test_difference_only_in_last_partial_chunk():
     # CNOT(0, 1) acts as the identity exactly where wire 0 is 0.
-    a, b = Circuit(6), Circuit(6, (CNOT(0, 1),))
-    zero_first = [ket for ket in iter_basis_inputs(6) if ket.bits[0] == 0]
-    one_first = [ket for ket in iter_basis_inputs(6) if ket.bits[0] == 1]
+    a, b = Circuit(12), Circuit(12, (CNOT(0, 1),))
+    zero_first = _kets(12, 3 * CHUNK, first_bit=0)
+    one_first = _kets(12, 1, first_bit=1)
     assert assert_equivalent(a, b, inputs=zero_first)
-    inputs = zero_first[:_CHUNK] + one_first[:1]
-    assert not assert_equivalent(a, b, inputs=iter(inputs))
-    assert not assert_equivalent(a, b, inputs=zero_first[: 2 * _CHUNK] + one_first[:1])
+    assert not assert_equivalent(a, b, inputs=iter(zero_first[:CHUNK] + one_first))
+    assert not assert_equivalent(a, b, inputs=zero_first[: 2 * CHUNK] + one_first)
 
 
 def test_signed_inputs():
@@ -301,21 +315,27 @@ def test_signed_inputs():
         plus = simulate_circuit(wired, ket).amplitudes
         assert np.array_equal(simulate_circuit(wired, -ket).amplitudes, -plus)
         assert vector_to_ket(simulate_circuit(compiled, -ket)) == -run(f, ket).output
+    # Mixed signs across several batches at 12 wires.
+    f = from_parity_form(ParityForm(11, (0,) * 10 + (1,), 0))
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    kets = islice(iter_basis_inputs(12, last_bit=1), 2 * CHUNK + 1)
+    inputs = [ket if i % 3 else -ket for i, ket in enumerate(kets)]
+    assert assert_equivalent(wired, compiled, inputs=inputs)
+    assert not assert_equivalent(wired, Circuit(12, compiled.gates, -1), inputs=inputs)
 
 
 def test_wrong_width_ket_in_later_chunk():
-    c = Circuit(4, (H(0), H(0)))
-    inputs = list(iter_basis_inputs(4)) + [parse_ket("+011")]
-    assert len(inputs) > _CHUNK
-    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 4 wires$"):
+    c = Circuit(12, (H(0), H(0)))
+    inputs = _kets(12, CHUNK + 1) + [parse_ket("+011")]
+    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 12 wires$"):
         assert_equivalent(c, c, inputs=inputs)
-    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 4 wires$"):
+    with pytest.raises(ValueError, match="^input has 3 bits, circuit has 12 wires$"):
         simulate_circuit(c, parse_ket("+011"))
 
 
 def test_equivalence_memory_is_bounded():
-    # n = 11: 2,048 inputs of 12 wires; the per-chunk batches keep the peak
-    # near two (4096, chunk) buffers however many inputs there are.
+    # n = 11: 2,048 inputs of 12 wires; the batches keep the peak near two
+    # (4096, chunk) buffers however many inputs there are.
     f = from_parity_form(ParityForm(11, (1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1), 1))
     wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
     tracemalloc.start()
