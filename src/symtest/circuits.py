@@ -191,9 +191,9 @@ def assert_equivalent(
     input (all of them by default).
 
     Inputs are simulated as the columns of two reused batches of at most
-    _BATCH_AMPLITUDES amplitudes, and the check stops at the first chunk
+    _BATCH_AMPLITUDES amplitudes, and the check stops at the first batch
     that differs; a ket of the wrong width raises ValueError when its
-    chunk is read.
+    batch is read.
     """
     if a.wires != b.wires:
         raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
