@@ -49,15 +49,9 @@ class MappingChart:
         return self.cells[output_index][input_index]
 
 
-def _check_n(n: int, max_n: int) -> None:
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
-
-
 def build_catalog(n: int, max_n: int = MAX_CHART_N) -> FunctionCatalog:
     """All positive functions, ascending, labeled alphabetically."""
-    _check_n(n, max_n)
-    positives, _ = generate_functions(n)
+    positives, _ = generate_functions(n, max_n)  # checks 1 <= n <= max_n
     positives = sorted(positives, key=lambda tt: tt.value)
     entries = tuple((function_id(i), tt) for i, tt in enumerate(positives))
     return FunctionCatalog(n, entries)
@@ -65,8 +59,7 @@ def build_catalog(n: int, max_n: int = MAX_CHART_N) -> FunctionCatalog:
 
 def build_chart(n: int, max_n: int = MAX_CHART_N) -> MappingChart:
     """Grid of function ids: rows are output states, columns input states."""
-    _check_n(n, max_n)
-    catalog = build_catalog(n)
+    catalog = build_catalog(n, max_n)
     id_by_value = {tt.value: label for label, tt in catalog.entries}
     mask_id = [
         id_by_value[from_parity_form(ParityForm(n, int_to_bits(m, n), 0)).value]

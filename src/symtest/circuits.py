@@ -12,16 +12,20 @@ on inputs whose function wire is |1>; on |0> ancilla inputs the sandwich
 is the identity.  assert_equivalent therefore takes an explicit input
 set, and the pipeline checks pass the ancilla-1 basis states.
 
-Simulation works on a batch: a (2^k, B) array whose columns are basis
-inputs.  H is an unnormalized (a+b, a-b) butterfly, X and CNOT swap
-blocks of amplitudes in place, and the Hadamard scale is applied once at
-the end, so a circuit with an even number of H gates is simulated
-exactly.  simulate_circuit is the one-column case; assert_equivalent
-reads its inputs in chunks of at most 2^16 amplitudes (16 columns at 12
-wires), simulated into two reused buffers, so its memory stays bounded
-however many inputs it checks.
+Gate lists also hold the pipeline's two stages: U, the oracle of the
+truth table in its `arg`, on the last wire, and R, a real rotation by
+the angle in its `arg`.  _simulate_batch is the one simulator, for these
+circuits and the pipeline alike.  It works on a (2^k, B) array whose
+columns are basis inputs: H is an unnormalized (a+b, a-b) butterfly, X,
+CNOT and U swap blocks of amplitudes in place, and the Hadamard scale is
+applied once at the end, so a circuit with an even number of H gates is
+simulated exactly.  simulate_circuit is the one-column case;
+assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
+(16 columns at 12 wires), simulated into two reused buffers, so its
+memory stays bounded however many inputs it checks.
 """
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -38,13 +42,16 @@ MAX_EQUIV_QUBITS = 12
 # wire count.  At 12 wires, 4 columns ran 1.7x slower, and 32 no faster.
 _BATCH_AMPLITUDES = 1 << 16
 
-_GATE_ARITY = {"H": 1, "X": 1, "CNOT": 2}
+_GATE_ARITY = {"H": 1, "X": 1, "CNOT": 2, "U": 1, "R": 1}
 
 
 @dataclass(frozen=True)
 class Gate:
+    """A gate on `qubits`; the stages U and R take their table or angle as `arg`."""
+
     name: str
     qubits: tuple[int, ...]
+    arg: TruthTable | float | None = None
 
     def __post_init__(self):
         if self.name not in _GATE_ARITY:
@@ -53,6 +60,10 @@ class Gate:
             raise ValueError(f"{self.name} takes {_GATE_ARITY[self.name]} qubit(s)")
         if self.name == "CNOT" and self.qubits[0] == self.qubits[1]:
             raise ValueError("CNOT control and target must differ")
+        if (self.arg is None) == (self.name in ("U", "R")):
+            raise ValueError(f"{self.name}: U and R need an argument, other gates take none")
+        if self.name == "U" and self.qubits != (self.arg.n,):
+            raise ValueError(f"U of an n={self.arg.n} table targets wire {self.arg.n}")
 
     def __str__(self) -> str:
         return " ".join([self.name] + [str(q) for q in self.qubits])
@@ -84,6 +95,8 @@ class Circuit:
         for g in self.gates:
             if any(q < 0 or q >= self.wires for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.wires} wires")
+            if g.name == "U" and g.qubits[0] != self.wires - 1:
+                raise ValueError(f"U must target the last of the {self.wires} wires")
 
     def __str__(self) -> str:
         sign = "+1" if self.global_sign > 0 else "-1"
@@ -110,31 +123,36 @@ def compile_equivalent(f: TruthTable) -> Circuit:
     return Circuit(f.n + 1, gates, -1 if pf.complement else 1)
 
 
+@functools.cache
+def hadamard_layer(wires: int) -> tuple[Gate, ...]:
+    """H on every wire; built once per wire count, as the pipeline uses it per call."""
+    return tuple(H(q) for q in range(wires))
+
+
 def pipeline_as_circuit(f: TruthTable) -> Circuit:
     """The full wiring: H on every wire, the CNOT oracle, H on every wire."""
-    k = f.n + 1
-    layer = tuple(H(q) for q in range(k))
-    return Circuit(k, layer + oracle_as_cnots(f).gates + layer)
+    layer = hadamard_layer(f.n + 1)
+    return Circuit(f.n + 1, layer + oracle_as_cnots(f).gates + layer)
 
 
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
+def _swap(a: np.ndarray, b: np.ndarray, where=True) -> None:
     t = a.copy()
-    a[...] = b
-    b[...] = t
+    np.copyto(a, b, where=where)
+    np.copyto(b, t, where=where)
 
 
-def _simulate_batch(circ: Circuit, index, sign, arr: np.ndarray) -> np.ndarray:
+def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
     """Fill the C-contiguous (2^k, B) array `arr` with the columns
-    sign[j] * |index[j]>, apply the gates to it in place and return it.
+    sign[j] * |index[j]>, apply the gates to it in place and return the
+    number h of H gates applied; _scale then normalizes the batch.
 
-    H is an unnormalized butterfly; X and CNOT swap blocks of amplitudes
-    on reshaped views.  The Hadamard scale, 2^(-h/2) for h H gates, is
-    applied once at the end together with the global sign.
+    H is an unnormalized butterfly; X, CNOT and U swap blocks of
+    amplitudes on reshaped views, and R mixes the two halves of its wire.
     """
     arr.fill(0.0)
     arr[index, np.arange(len(index))] = sign
     h = 0
-    for g in circ.gates:
+    for g in gates:
         q = g.qubits
         if g.name == "H":
             butterfly(arr, q[0])
@@ -142,6 +160,19 @@ def _simulate_batch(circ: Circuit, index, sign, arr: np.ndarray) -> np.ndarray:
         elif g.name == "X":
             shaped = arr.reshape(1 << q[0], 2, -1)
             _swap(shaped[:, 0], shaped[:, 1])
+        elif g.name == "U":
+            # Swap the pair (2t, 2t+1) of every column where f(t) = 1; the
+            # mask is a zero-copy view of the table's 0/1 bytes.
+            pairs = arr.reshape(-1, 2, arr.shape[1])
+            _swap(pairs[:, 0], pairs[:, 1], np.frombuffer(g.arg.table, np.bool_)[:, None])
+        elif g.name == "R":
+            shaped = arr.reshape(1 << q[0], 2, -1)
+            a, b = shaped[:, 0], shaped[:, 1]
+            c, s = math.cos(g.arg), math.sin(g.arg)
+            t = c * a - s * b
+            b *= c
+            b += s * a
+            a[...] = t
         else:
             # Axes 1 and 3 are the two wires, in index order; swap the
             # target halves where the control is 1.
@@ -151,7 +182,12 @@ def _simulate_batch(circ: Circuit, index, sign, arr: np.ndarray) -> np.ndarray:
                 _swap(shaped[:, 1, :, 0], shaped[:, 1, :, 1])
             else:
                 _swap(shaped[:, 0, :, 1], shaped[:, 1, :, 1])
-    scale = circ.global_sign * 2.0 ** -(h // 2) * (math.sqrt(0.5) if h % 2 else 1.0)
+    return h
+
+
+def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
+    """Multiply a batch in place by global_sign * 2^(-h/2); exact when h is even."""
+    scale = global_sign * 2.0 ** -(h // 2) * (math.sqrt(0.5) if h % 2 else 1.0)
     if scale != 1.0:
         arr *= scale
     return arr
@@ -168,7 +204,9 @@ def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:
 def simulate_circuit(circ: Circuit, input: BasisKet) -> StateVector:
     """Apply the gates left to right to the input ket's vector."""
     index, sign = _columns([input], circ.wires)
-    return StateVector(_simulate_batch(circ, index, sign, np.empty((1 << circ.wires, 1)))[:, 0])
+    arr = np.empty((1 << circ.wires, 1))
+    h = _simulate_batch(circ.gates, index, sign, arr)
+    return StateVector(_scale(arr, h, circ.global_sign)[:, 0])
 
 
 def iter_basis_inputs(wires: int, last_bit: int | None = None) -> Iterator[BasisKet]:
@@ -210,8 +248,9 @@ def assert_equivalent(
         size = (1 << a.wires) * len(chunk)
         if work is None:
             work = (np.empty(size), np.empty(size))  # the first chunk is the widest
-        va = _simulate_batch(a, index, sign, work[0][:size].reshape(-1, len(chunk)))
-        vb = _simulate_batch(b, index, sign, work[1][:size].reshape(-1, len(chunk)))
+        va, vb = (w[:size].reshape(-1, len(chunk)) for w in work)
+        _scale(va, _simulate_batch(a.gates, index, sign, va), a.global_sign)
+        _scale(vb, _simulate_batch(b.gates, index, sign, vb), b.global_sign)
         check_state_columns(va)
         check_state_columns(vb)
         va -= vb

@@ -179,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         function={},
         state={},
     )
-    p.add_argument("--vector", action="store_true", help="print the final state vector")
-    tolerance(p)
+    # --vector prints the vector without reading it out, so no tolerance applies.
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--vector", action="store_true", help="print the final state vector")
+    tolerance(group)
     max_qubits(p)
     add("predict", _cmd_predict, "analytic pipeline output (no simulation)", function={}, state={})
     add("solve", _cmd_solve, "function mapping one state to another", input={}, output={})

@@ -10,14 +10,17 @@ the faultless pipeline reproduces the prediction with probability
 exactly 1, and success_probability() measures the drop under an
 injected fault.
 
-The simulator works on a batch: a (2^k, B) array whose columns are
-input states, so verify_all sends all signed inputs of one f through
-the Hadamard layers and the oracle permutation in one pass, while run()
-and friends pass a single column.  Simulation arithmetic is exact for
-the unfaulted pipeline: Hadamard layers are applied as unnormalized
-(a+b, a-b) butterflies on integer amplitudes and the accumulated
-2^(k/2) factors are divided out at the end, which is a power of two
-whenever the butterfly count is even.
+The pipeline is a gate list for the circuits module's one batch kernel:
+an H layer, the U stage holding f's truth table, and a second H layer.
+A fault is one edit to that list: a skipped Hadamard drops one H, a
+rotation appends an R stage after its layer, and a corrupted oracle
+entry flips one entry of U's table.  The kernel works on a (2^k, B)
+batch whose columns are input states, so verify_all sends all signed
+inputs of one f through in one pass, while run() and friends pass a
+single column.  Simulation is exact for the unfaulted pipeline: the
+Hadamards are unnormalized (a+b, a-b) butterflies on integer
+amplitudes, U swaps amplitude pairs, and the 2k butterflies leave a
+power-of-two scale that is divided out at the end.
 """
 
 import math
@@ -35,13 +38,13 @@ from .boolfunc import (
     padded_hex,
     to_parity_form,
 )
-from .oracle import QuantumOracle
+from .circuits import Gate, _scale, _simulate_batch, hadamard_layer
 from .statevec import (
     MAX_QUBITS,
     BasisKet,
     NotBasisStateError,
     StateVector,
-    butterfly,
+    butterfly,  # noqa: F401  (re-exported: perfbench's tracer wraps pipeline.butterfly)
     read_basis_columns,
 )
 
@@ -88,82 +91,44 @@ def _check_input(f: TruthTable, input: BasisKet) -> None:
         raise ValueError("pipeline input must end in the ancilla bit 1")
 
 
-def _check_fault(fault: Fault | None, n: int) -> None:
-    if fault is None:
-        return
+def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
+    """H layer, U(f), H layer, with the fault checked and applied as one
+    edit: drop one H, append R after its layer, or flip one entry of U's table."""
+    layers = dict.fromkeys(("first", "second"), hadamard_layer(f.n + 1))
     if isinstance(fault, (SkipHadamard, RotateQubit)):
         if fault.layer not in ("first", "second"):
             raise ValueError(f"fault layer must be 'first' or 'second', got {fault.layer!r}")
-        if not 0 <= fault.qubit < n + 1:
-            raise ValueError(f"fault qubit {fault.qubit} out of range for {n + 1} wires")
-        if isinstance(fault, RotateQubit) and not math.isfinite(fault.angle):
+        if not 0 <= fault.qubit <= f.n:
+            raise ValueError(f"fault qubit {fault.qubit} out of range for {f.n + 1} wires")
+        layer = layers[fault.layer]
+        if isinstance(fault, SkipHadamard):
+            layers[fault.layer] = layer[: fault.qubit] + layer[fault.qubit + 1 :]
+        elif not math.isfinite(fault.angle):
             raise ValueError(f"rotation angle must be finite, got {fault.angle}")
+        else:
+            layers[fault.layer] = layer + (Gate("R", (fault.qubit,), fault.angle),)
     elif isinstance(fault, CorruptOracleEntry):
-        if not 0 <= fault.index < 1 << n:
-            raise ValueError(f"oracle entry {fault.index} out of range for n={n}")
-    else:
+        if not 0 <= fault.index < 1 << f.n:
+            raise ValueError(f"oracle entry {fault.index} out of range for n={f.n}")
+        flipped = bytearray(f.table)
+        flipped[fault.index] ^= 1
+        f = TruthTable(f.n, flipped)
+    elif fault is not None:
         raise ValueError(f"unknown fault spec: {fault!r}")
+    return layers["first"] + (Gate("U", (f.n,), f),) + layers["second"]
 
 
-def _rotate(arr: np.ndarray, qubit: int, angle: float) -> None:
-    shaped = arr.reshape(1 << qubit, 2, -1)
-    a = shaped[:, 0, :]
-    b = shaped[:, 1, :]
-    c, s = math.cos(angle), math.sin(angle)
-    t = c * a - s * b
-    b *= c
-    b += s * a
-    a[...] = t
-
-
-def _simulate_raw(
-    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS, work=None
+def _simulate(
+    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS, arr=None
 ) -> tuple[np.ndarray, int]:
-    """Unnormalized pipeline output for a batch of signed basis inputs.
-
-    Column j of the returned (2^k, B) array starts as sign[j] * |index[j]>.
-    Also returns the number of butterflies applied: dividing by
-    2^(stages/2) normalizes the batch.  A pair of (2^k, B) arrays given
-    as `work` is used in place of new ones; the result is the second.
-    """
+    """Unnormalized output for a batch of signed basis inputs, column j starting
+    as sign[j] * |index[j]> (in `arr` if one is given), and its H count."""
     k = f.n + 1
     if k > max_qubits:
         raise ValueError(f"pipeline on {k} qubits exceeds the cap of {max_qubits}")
-    _check_fault(fault, f.n)
-
-    table = f
-    if isinstance(fault, CorruptOracleEntry):
-        flipped = bytearray(f.table)
-        flipped[fault.index] ^= 1
-        table = TruthTable(f.n, flipped)
-
-    shape = (1 << k, len(index))
-    arr, out = work or (np.empty(shape), np.empty(shape))
-    arr.fill(0.0)
-    arr[index, np.arange(len(index))] = sign
-    stages = 0
-    for layer in ("first", "second"):
-        for q in range(k):
-            if isinstance(fault, SkipHadamard) and fault.layer == layer and fault.qubit == q:
-                continue
-            butterfly(arr, q)
-            stages += 1
-        if isinstance(fault, RotateQubit) and fault.layer == layer:
-            _rotate(arr, fault.qubit, fault.angle)
-        if layer == "first":
-            perm = QuantumOracle(table).permutation
-            # perm holds each index once: "clip" clips nothing but lets take write
-            # straight into out (take still copies perm, as it is read-only).
-            arr = np.take(arr, perm, axis=0, out=out, mode="clip")
-    return arr, stages
-
-
-def _simulate(f: TruthTable, index, sign, max_qubits: int = MAX_QUBITS, work=None) -> np.ndarray:
-    """Faultless pipeline output, one column per input; exact, because the
-    2k butterflies leave a power-of-two scale."""
-    arr, stages = _simulate_raw(f, index, sign, max_qubits=max_qubits, work=work)
-    arr *= 2.0 ** -(stages // 2)
-    return arr
+    if arr is None:
+        arr = np.empty((1 << k, len(index)))
+    return arr, _simulate_batch(_gates(f, fault), index, sign, arr)
 
 
 def _prediction(pf: ParityForm, index, sign):
@@ -176,7 +141,8 @@ def _prediction(pf: ParityForm, index, sign):
 def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
     """Final state vector of the faultless pipeline, in exact arithmetic."""
     _check_input(f, input)
-    return StateVector(_simulate(f, [input.index], [input.sign], max_qubits)[:, 0])
+    arr = _scale(*_simulate(f, [input.index], [input.sign], max_qubits=max_qubits))
+    return StateVector(arr[:, 0])
 
 
 def run(
@@ -188,7 +154,7 @@ def run(
     superposition, which happens exactly when f is not admissible.
     """
     _check_input(f, input)
-    arr = _simulate(f, [input.index], [input.sign], max_qubits)
+    arr = _scale(*_simulate(f, [input.index], [input.sign], max_qubits=max_qubits))
     index, sign = read_basis_columns(arr, tolerance)
     if not sign[0]:
         raise NotBasisStateError(
@@ -227,13 +193,13 @@ def success_probability(
 
     Exactly 1.0 when no fault is injected; anything less flags a loss of
     coherence or a broken gate.  The unnormalized overlap is squared
-    before the 2^-stages scale is applied, so that scale stays an exact
-    power of two even when a skipped Hadamard leaves an odd stage count.
+    before the 2^-h scale of h butterflies is applied, so that scale stays
+    an exact power of two even when a skipped Hadamard leaves h odd.
     """
     target = predict(f, input).output
-    arr, stages = _simulate_raw(f, [input.index], [input.sign], fault, max_qubits)
+    arr, h = _simulate(f, [input.index], [input.sign], fault, max_qubits)
     overlap = float(arr[target.index, 0]) * target.sign
-    return overlap * overlap * 2.0 ** -stages
+    return overlap * overlap * 2.0 ** -h
 
 
 @dataclass
@@ -262,24 +228,23 @@ def verify_all(n: int, max_n: int = 6) -> VerifyReport:
 
     Each f simulates all 2^(n+1) signed inputs as the columns of one
     batch, ordered x ascending with + before -, and compares the readout
-    of every column with the parity-form prediction.  All f share two
-    batch arrays: freeing them per f let malloc shrink and regrow the
-    heap each time in some heap layouts, and `verify 6` ran ~40 % slower.
+    of every column with the parity-form prediction.  All f share one
+    batch array, which the kernel fills and transforms in place: freeing
+    it per f let malloc shrink and regrow the heap each time in some heap
+    layouts, and `verify 6` ran ~40 % slower.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+    positives, negatives = generate_functions(n, max_n)  # checks 1 <= n <= max_n
     index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
     sign = np.tile([1, -1], 1 << n)
-    positives, negatives = generate_functions(n)
     report = VerifyReport(n, 0)
-    work = (np.empty((2 << n, index.size)), np.empty((2 << n, index.size)))
+    arr = np.empty((2 << n, index.size))
 
     def ket(s, i) -> str:
         return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
 
     for f in positives + negatives:
         want_index, want_sign = _prediction(to_parity_form(f), index, sign)
-        got_index, got_sign = read_basis_columns(_simulate(f, index, sign, work=work))
+        got_index, got_sign = read_basis_columns(_scale(*_simulate(f, index, sign, arr=arr)))
         report.total += index.size
         for j in np.flatnonzero((got_index != want_index) | (got_sign != want_sign)):
             got = ket(got_sign[j], got_index[j]) if got_sign[j] else "NotBasisState"

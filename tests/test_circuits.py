@@ -22,15 +22,19 @@ from symtest.circuits import (
     Gate,
     H,
     X,
+    _scale,
+    _simulate_batch,
     assert_equivalent,
     compile_equivalent,
+    hadamard_layer,
     iter_basis_inputs,
     oracle_as_cnots,
     pipeline_as_circuit,
     simulate_circuit,
 )
+from symtest.oracle import QuantumOracle
 from symtest.pipeline import run
-from symtest.statevec import BasisKet, ket_to_vector, parse_ket, vector_to_ket
+from symtest.statevec import BasisKet, StateVector, ket_to_vector, parse_ket, vector_to_ket
 
 tt = TruthTable.from_string
 
@@ -177,6 +181,19 @@ def test_gate_validation():
         Circuit(2, (X(2),))
     with pytest.raises(ValueError):
         Circuit(2, (), global_sign=0)
+    # The pipeline stages need their argument, and only they take one.
+    with pytest.raises(ValueError, match="U and R need an argument"):
+        Gate("U", (2,))
+    with pytest.raises(ValueError, match="U and R need an argument"):
+        Gate("R", (0,))
+    with pytest.raises(ValueError, match="U and R need an argument"):
+        Gate("H", (0,), 0.5)
+    # U acts on the last wire of an n+1 wire circuit, as the oracle does.
+    with pytest.raises(ValueError, match="targets wire 2"):
+        Gate("U", (1,), tt("0110"))
+    with pytest.raises(ValueError, match="last of the 4 wires"):
+        Circuit(4, (Gate("U", (2,), tt("0110")),))
+    assert Circuit(3, (Gate("U", (2,), tt("0110")), Gate("R", (0,), 0.5))).wires == 3
 
 
 def test_circuit_text_form():
@@ -205,6 +222,9 @@ def dense_unitary(circ):
         if g.name == "CNOT":
             c, t = g.qubits
             m = _kron_on(k, {c: _P0}) + _kron_on(k, {c: _P1, t: _X2})
+        elif g.name == "R":
+            c, s = np.cos(g.arg), np.sin(g.arg)
+            m = _kron_on(k, {g.qubits[0]: np.array([[c, -s], [s, c]])})
         else:
             m = _kron_on(k, {g.qubits[0]: _H2 if g.name == "H" else _X2})
         u = m @ u
@@ -270,6 +290,55 @@ def test_kernel_covers_both_cnot_orders_and_h_parities():
                 for signed in (ket, -ket):
                     got = simulate_circuit(circ, signed).amplitudes
                     assert np.allclose(got, dense_output(circ, signed), rtol=0, atol=1e-12)
+
+
+def _batch(gates, kets):
+    """The kernel's normalized (2^k, B) output, one column per ket."""
+    arr = np.empty((1 << kets[0].k, len(kets)))
+    return _scale(arr, _simulate_batch(gates, [k.index for k in kets], [k.sign for k in kets], arr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_r_stage_matches_dense_rotation(data):
+    k = data.draw(hyp.integers(1, 5))
+    angle = data.draw(hyp.floats(-4, 4))
+    rotation = Gate("R", (data.draw(hyp.integers(0, k - 1)),), angle)
+    # Random H/X/CNOT gates first, so the rotation acts on a general state.
+    circ = Circuit(k, data.draw(circuits_on(k)).gates + (rotation,))
+    kets = data.draw(hyp.lists(kets_on(k), min_size=1, max_size=4))
+    batch = _batch(circ.gates, kets)
+    for j, ket in enumerate(kets):
+        assert np.allclose(batch[:, j], dense_output(circ, ket), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_u_stage_matches_oracle_column_by_column(data):
+    n = data.draw(hyp.integers(1, 8))
+    f = TruthTable(n, data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+    # A rotation by less than pi/4 on every wire leaves cos != |sin| on the
+    # ancilla, so the two amplitudes of every pair (2t, 2t+1) differ and a
+    # missed or extra swap shows in the U stage's output.
+    angles = data.draw(hyp.lists(hyp.floats(0.1, 0.7), min_size=n + 1, max_size=n + 1))
+    rotations = tuple(Gate("R", (q,), a) for q, a in enumerate(angles))
+    kets = data.draw(hyp.lists(kets_on(n + 1), min_size=1, max_size=6))
+    before = _batch(rotations, kets)
+    after = _batch(rotations + (Gate("U", (n,), f),), kets)
+    oracle = QuantumOracle(f)
+    for j in range(len(kets)):
+        assert np.array_equal(after[:, j], oracle.apply(StateVector(before[:, j])).amplitudes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_u_stage_pipeline_equals_cnot_wiring_on_every_input(n):
+    # Every basis input, ancilla 0 as well as 1: the U stage and the CNOT
+    # oracle are the same unitary for admissible f.
+    layer = hadamard_layer(n + 1)
+    pos, neg = generate_functions(n)
+    for f in pos + neg:
+        staged = Circuit(n + 1, layer + (Gate("U", (n,), f),) + layer)
+        assert assert_equivalent(staged, pipeline_as_circuit(f))
 
 
 # At 12 wires a batch holds this many inputs.

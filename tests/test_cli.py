@@ -148,6 +148,14 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "1e-6"])
+def test_simulate_vector_reads_no_tolerance(capsys, tolerance):
+    argv = ("simulate", "--vector", "1111", "+001", "--tolerance", tolerance)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument --vector" in err
+
+
 def test_flags_where_they_are_read(capsys):
     assert run_cli(capsys, "simulate", "0011", "+001", "--tolerance", "1e-6")[:2] == (0, "+101\n")
     assert run_cli(capsys, "simulate", "0011", "+001", "--max-qubits", "2")[0] == 1

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from difflib import SequenceMatcher
 from itertools import product
 
 import numpy as np
@@ -15,7 +17,7 @@ from symtest.boolfunc import (
     generate_functions,
     hex_decode,
 )
-from symtest.oracle import QuantumOracle
+from symtest.circuits import Gate, H, _scale
 from symtest.pipeline import (
     CorruptOracleEntry,
     PipelineResult,
@@ -190,14 +192,15 @@ def test_verify_all_reports_disagreement(monkeypatch):
 
 
 def test_verify_all_reports_non_basis_output(monkeypatch):
-    # The oracle for f = 1001 is built from the AND table 0001 instead,
-    # so no column of that f reads out as a basis state.
-    real = QuantumOracle
+    # The U stage of f = 1001 holds the AND table 0001 instead, so no
+    # column of that f reads out as a basis state.
+    real = pipeline._gates
 
-    def oracle(table):
-        return real(tt("0001") if table == tt("1001") else table)
+    def gates(f, fault):
+        wrong = Gate("U", (2,), tt("0001"))
+        return tuple(wrong if f == tt("1001") and g.name == "U" else g for g in real(f, fault))
 
-    monkeypatch.setattr(pipeline, "QuantumOracle", oracle)
+    monkeypatch.setattr(pipeline, "_gates", gates)
     report = verify_all(2)
     assert report.failures == [
         "f=9 x=+001 got=NotBasisState want=-111",
@@ -229,7 +232,7 @@ def test_batched_columns_match_run_and_predict(data):
     n = data.draw(hyp.integers(1, 10))
     f = _random_function(data, n)
     kets = _random_inputs(data, n, 8)
-    batch = pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets])
+    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     index, sign = read_basis_columns(batch)
     for j, ket in enumerate(kets):
         got = BasisKet(int(sign[j]), int_to_bits(int(index[j]), n + 1))
@@ -245,7 +248,7 @@ def test_flipped_entry_fails_readout_in_every_column(data):
     bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
     kets = _random_inputs(data, n, 8)
     f = TruthTable(n, tuple(bits))
-    batch = pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets])
+    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     _, sign = read_basis_columns(batch)
     assert not sign.any()
 
@@ -302,6 +305,57 @@ def test_corrupt_entry_success(n):
     for index in (0, (1 << n) - 1):
         p = success_probability(pos[1], ket, CorruptOracleEntry(index))
         assert p == pytest.approx(expected, abs=1e-12)
+
+
+def _all_faults(n):
+    for layer in ("first", "second"):
+        for q in range(n + 1):
+            yield SkipHadamard(layer, q)
+            yield RotateQubit(layer, q, 0.25)
+    for index in range(1 << n):
+        yield CorruptOracleEntry(index)
+
+
+@pytest.mark.parametrize("fault", list(_all_faults(2)), ids=str)
+def test_fault_is_one_gate_list_edit(fault):
+    f = tt("0110")
+    clean, faulted = pipeline._gates(f, None), pipeline._gates(f, fault)
+    assert [g.name for g in clean] == ["H"] * 3 + ["U"] + ["H"] * 3
+    opcodes = SequenceMatcher(None, clean, faulted, autojunk=False).get_opcodes()
+    [(tag, i1, i2, j1, j2)] = [op for op in opcodes if op[0] != "equal"]
+    if isinstance(fault, SkipHadamard):
+        # One H dropped, from the faulted layer.
+        assert (tag, clean[i1:i2]) == ("delete", (H(fault.qubit),))
+        assert (i1 < 3) == (fault.layer == "first")
+    elif isinstance(fault, RotateQubit):
+        # One R inserted, right after the faulted layer.
+        assert (tag, faulted[j1:j2]) == ("insert", (Gate("R", (fault.qubit,), 0.25),))
+        assert j1 == (3 if fault.layer == "first" else 7)
+    else:
+        # U's table replaced by one that differs in the faulted entry only.
+        assert (tag, i1, i2, j1, j2) == ("replace", 3, 4, 3, 4)
+        pairs = zip(clean[3].arg.bits, faulted[3].arg.bits)
+        assert [i for i, (a, b) in enumerate(pairs) if a != b] == [fault.index]
+
+
+def test_run_memory_at_19_qubits():
+    # One (2^20, 1) float64 state is 8 MB; the kernel works on it in place,
+    # with one half-size temporary per gate and the readout's magnitudes.
+    n = 19
+    f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
+    ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
+    faults = (SkipHadamard("first", 3), RotateQubit("second", 7, 0.3), CorruptOracleEntry(5))
+    for fault in (None,) + faults:
+        tracemalloc.start()
+        try:
+            if fault is None:
+                assert run(f, ket) == predict(f, ket)
+            else:
+                assert success_probability(f, ket, fault) < 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, (fault, peak)
 
 
 def test_fault_validation():
