@@ -16,10 +16,12 @@ Gate lists also hold the pipeline's two stages: U, the oracle of the
 truth table in its `arg`, on the last wire, and R, a real rotation by
 the angle in its `arg`.  _simulate_batch is the one simulator, for these
 circuits and the pipeline alike.  It works on a (2^k, B) array whose
-columns are basis inputs: H is an unnormalized (a+b, a-b) butterfly, X,
-CNOT and U swap blocks of amplitudes in place, and the Hadamard scale is
-applied once at the end, so a circuit with an even number of H gates is
-simulated exactly.  simulate_circuit is the one-column case;
+columns are basis inputs: a run of H gates on distinct wires is one
+butterfly call per contiguous wire range (blocked +-1 matrix products,
+exact on integer amplitudes below 2^53), X, CNOT and U swap blocks of
+amplitudes in place, R is a 2 x 2 block product, and the Hadamard scale
+is applied once at the end, so a circuit with an even number of H gates
+is simulated exactly.  simulate_circuit is the one-column case;
 assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
 (16 columns at 12 wires), simulated into two reused buffers, so its
 memory stays bounded however many inputs it checks.
@@ -29,12 +31,12 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import groupby, islice, product
 
 import numpy as np
 
 from .boolfunc import TruthTable, to_parity_form
-from .statevec import BasisKet, StateVector, butterfly, check_state_columns, check_tolerance
+from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_columns, check_tolerance
 
 MAX_EQUIV_QUBITS = 12
 # Amplitudes per batch in assert_equivalent, 512 KB of float64: 16 input
@@ -136,9 +138,19 @@ def pipeline_as_circuit(f: TruthTable) -> Circuit:
 
 
 def _swap(a: np.ndarray, b: np.ndarray, where=True) -> None:
+    # A ufunc tests overlap exactly; assignment would first copy the interleaved b whole.
     t = a.copy()
-    np.copyto(a, b, where=where)
-    np.copyto(b, t, where=where)
+    np.positive(b, out=a, where=where)
+    np.positive(t, out=b, where=where)
+
+
+def _hadamards(arr: np.ndarray, wires: list[int]) -> int:
+    """H on each of the distinct `wires`, one butterfly call per contiguous
+    range of them; returns the number of H gates applied."""
+    for _, run in groupby(enumerate(sorted(wires)), lambda pair: pair[1] - pair[0]):
+        run = list(run)
+        butterfly(arr, run[0][1], len(run))
+    return len(wires)
 
 
 def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
@@ -146,18 +158,22 @@ def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
     sign[j] * |index[j]>, apply the gates to it in place and return the
     number h of H gates applied; _scale then normalizes the batch.
 
-    H is an unnormalized butterfly; X, CNOT and U swap blocks of
-    amplitudes on reshaped views, and R mixes the two halves of its wire.
+    A run of H gates on distinct wires is applied when any other gate or a
+    repeated wire ends it; X, CNOT and U swap blocks of amplitudes on
+    reshaped views, and R mixes the two halves of its wire.
     """
     arr.fill(0.0)
     arr[index, np.arange(len(index))] = sign
     h = 0
+    wires: list[int] = []  # a run of H gates on distinct wires, not yet applied
     for g in gates:
         q = g.qubits
-        if g.name == "H":
-            butterfly(arr, q[0])
-            h += 1
-        elif g.name == "X":
+        if g.name == "H" and q[0] not in wires:
+            wires.append(q[0])
+            continue
+        h += _hadamards(arr, wires)
+        wires = [q[0]] if g.name == "H" else []
+        if g.name == "X":
             shaped = arr.reshape(1 << q[0], 2, -1)
             _swap(shaped[:, 0], shaped[:, 1])
         elif g.name == "U":
@@ -166,14 +182,9 @@ def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
             pairs = arr.reshape(-1, 2, arr.shape[1])
             _swap(pairs[:, 0], pairs[:, 1], np.frombuffer(g.arg.table, np.bool_)[:, None])
         elif g.name == "R":
-            shaped = arr.reshape(1 << q[0], 2, -1)
-            a, b = shaped[:, 0], shaped[:, 1]
             c, s = math.cos(g.arg), math.sin(g.arg)
-            t = c * a - s * b
-            b *= c
-            b += s * a
-            a[...] = t
-        else:
+            _apply(arr, q[0], np.array([[c, -s], [s, c]]))
+        elif g.name == "CNOT":
             # Axes 1 and 3 are the two wires, in index order; swap the
             # target halves where the control is 1.
             lo, hi = sorted(q)
@@ -182,7 +193,7 @@ def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
                 _swap(shaped[:, 1, :, 0], shaped[:, 1, :, 1])
             else:
                 _swap(shaped[:, 0, :, 1], shaped[:, 1, :, 1])
-    return h
+    return h + _hadamards(arr, wires)
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:

@@ -17,9 +17,10 @@ rotation appends an R stage after its layer, and a corrupted oracle
 entry flips one entry of U's table.  The kernel works on a (2^k, B)
 batch whose columns are input states, so verify_all sends all signed
 inputs of one f through in one pass, while run() and friends pass a
-single column.  Simulation is exact for the unfaulted pipeline: the
-Hadamards are unnormalized (a+b, a-b) butterflies on integer
-amplitudes, U swaps amplitude pairs, and the 2k butterflies leave a
+single column.  Simulation is exact for the unfaulted pipeline: each
+H layer is one butterfly call, +-1 matrix products on integer amplitudes
+whose partial sums never exceed 2^k <= 2^20 (float64 is exact below
+2^53), U swaps amplitude pairs, and the 2k Hadamards leave a
 power-of-two scale that is divided out at the end.
 """
 

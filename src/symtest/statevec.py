@@ -6,7 +6,9 @@ Qubit 0 is the leftmost label in |x1, x2, ...> and the most significant
 bit of the amplitude index, matching the truth-table convention.
 
 All operations are pure: inputs are never mutated and amplitude arrays
-are frozen, so values are safe to share across threads.
+are frozen, so values are safe to share across threads.  butterfly, the
+simulators' Hadamard kernel, works in place: blocked +-1 matrix products
+through per-call scratch, exact on integer amplitudes below 2^53.
 """
 
 import math
@@ -18,6 +20,16 @@ import numpy as np
 from .bitops import bits_to_int, format_bits, int_to_bits, parse_bits
 
 MAX_QUBITS = 20
+# The unnormalized Hadamard on m wires is the +-1 matrix H^{(x)m}: a block
+# costs 2^m multiply-adds per amplitude but only one pass over memory.
+_BLOCK_WIRES = 4
+_HADAMARD = [np.ones((1, 1))]
+for _ in range(_BLOCK_WIRES):
+    _HADAMARD.append(np.kron(_HADAMARD[-1], [[1.0, 1.0], [1.0, -1.0]]))
+    _HADAMARD[-1].flags.writeable = False
+# Amplitudes per chunk of scratch, 256 KB of float64; 2^14 and 2^16 timed the
+# same within noise on a 20-wire layer, a (4096, 16) batch and verify 6.
+_CHUNK = 1 << 15
 
 
 class NotBasisStateError(ValueError):
@@ -122,13 +134,22 @@ def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.nda
     entanglement remains.  sign[j] is 0 for every other column.
     """
     check_tolerance(tolerance)
-    mags = np.abs(arr)
     cols = np.arange(arr.shape[1])
-    index = np.argmax(mags, axis=0)
-    peak = mags[index, cols]
-    mags[index, cols] = 0.0
-    ok = (np.abs(peak - 1.0) <= tolerance) & (mags.max(axis=0) <= tolerance)
-    sign = np.where(ok, np.where(arr[index, cols] > 0, 1, -1), 0)
+    # The first entry of largest magnitude is the first maximum or minimum.
+    top, bottom = arr.argmax(axis=0), arr.argmin(axis=0)
+    high, low = arr[top, cols], -arr[bottom, cols]
+    index = np.where((high > low) | ((high == low) & (top < bottom)), top, bottom)
+    # The largest magnitude among the other entries, a chunk of rows at a time.
+    rest = np.zeros(len(cols))
+    step = max(1, _CHUNK // max(1, len(cols)))
+    for start in range(0, len(arr), step):
+        mags = np.abs(arr[start : start + step])
+        inside = (index >= start) & (index < start + step)
+        mags[index[inside] - start, cols[inside]] = 0.0
+        rest = np.maximum(rest, mags.max(axis=0))
+    peak = arr[index, cols]
+    ok = (np.abs(np.abs(peak) - 1.0) <= tolerance) & (rest <= tolerance)
+    sign = np.where(ok, np.where(peak > 0, 1, -1), 0)
     return index, sign
 
 
@@ -143,32 +164,49 @@ def vector_to_ket(v: StateVector, tolerance: float = 1e-9) -> BasisKet:
     return BasisKet(int(sign[0]), int_to_bits(int(index[0]), v.k))
 
 
-def butterfly(arr: np.ndarray, qubit: int) -> None:
-    """Unnormalized in-place Hadamard on one qubit: (a, b) -> (a+b, a-b).
+def butterfly(arr: np.ndarray, qubit: int, count: int = 1) -> None:
+    """Unnormalized in-place Hadamard on wires qubit .. qubit+count-1.
 
-    `arr` is a (2^k,) vector or a C-contiguous (2^k, B) batch whose
-    columns are independent states; the reshape folds the batch axis
-    into the trailing axis, so both take the same path.
+    On one wire this is (a, b) -> (a+b, a-b).  The wires are split into
+    balanced blocks of at most 4, and each block is one product with the
+    +-1 matrix H^{(x)m}, applied a chunk at a time.  `arr` is a (2^k,)
+    vector or a C-contiguous (2^k, B) batch of independent columns.
     """
     if not arr.flags.c_contiguous:
         raise ValueError("butterfly needs a C-contiguous array to work in place")
-    shaped = arr.reshape(1 << qubit, 2, -1)
-    a = shaped[:, 0, :]
-    b = shaped[:, 1, :]
-    if a.shape[1] < 8:
-        # Runs shorter than a 64-byte cache line cost one ufunc inner-loop
-        # call each, so iterate along the long axis instead.
-        a, b = a.T, b.T
-    t = np.subtract(a, b, order="C")
-    np.add(a, b, out=a, order="C")
-    b[...] = t
+    if qubit < 0 or count < 0 or len(arr) >> (qubit + count) < 1:
+        raise ValueError(f"wires {qubit}..{qubit + count - 1} out of range for {len(arr)} rows")
+    blocks = -(-count // _BLOCK_WIRES)
+    bounds = [qubit + count * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _apply(arr, lo, _HADAMARD[hi - lo])
+
+
+def _apply(arr: np.ndarray, lo: int, matrix: np.ndarray) -> None:
+    """Multiply the m wires from `lo` of a C-contiguous array in place by a real
+    2^m x 2^m matrix, through a scratch of at most _CHUNK amplitudes per call."""
+    size = len(matrix)
+    scratch = np.empty(min(arr.size, _CHUNK))
+    view = arr.reshape(1 << lo, size, -1)
+    if view.shape[2] == 1:
+        # The block ends at the last wire of one column: multiply its rows from the right.
+        rows, step = arr.reshape(-1, size), scratch.size // size
+        for r in range(0, len(rows), step):
+            part = rows[r : r + step]
+            np.copyto(part, np.matmul(part, matrix.T, out=scratch[: part.size].reshape(part.shape)))
+        return
+    outer = max(1, scratch.size // view[0].size)
+    width = min(view.shape[2], scratch.size // size)
+    for p in range(0, len(view), outer):
+        for r in range(0, view.shape[2], width):
+            part = view[p : p + outer, :, r : r + width]
+            np.copyto(part, np.matmul(matrix, part, out=scratch[: part.size].reshape(part.shape)))
 
 
 def hadamard_all(v: StateVector) -> StateVector:
     """Apply the k-fold Hadamard tensor; unitary and its own inverse."""
     arr = v.amplitudes.copy()
-    for q in range(v.k):
-        butterfly(arr, q)
+    butterfly(arr, 0, v.k)
     return StateVector(arr / math.sqrt(1 << v.k))
 
 

@@ -300,6 +300,40 @@ def _batch(gates, kets):
 
 @settings(max_examples=40, deadline=None)
 @given(hyp.data())
+def test_repeated_h_wire_ends_a_run(data):
+    # Each wire of a run of distinct H gates, then the same wires again in
+    # any order: the repeated wire starts a new run, and H H = 2 I exactly.
+    k = data.draw(hyp.integers(1, 8))
+    wires = data.draw(hyp.lists(hyp.integers(0, k - 1), min_size=1, unique=True))
+    again = data.draw(hyp.permutations(wires))
+    gates = tuple(H(q) for q in wires + list(again))
+    index = list(range(1 << k))
+    arr = np.empty((1 << k, 1 << k))
+    assert _simulate_batch(gates, index, [1] * len(index), arr) == 2 * len(wires)
+    assert np.array_equal(arr, np.eye(1 << k) * 2.0 ** len(wires))
+
+
+def test_h_runs_are_one_butterfly_call_per_wire_range():
+    # A layer is one call whatever its gate order; a skipped wire splits
+    # it, and a repeated wire or any other gate starts a new run.
+    cases = [
+        ((H(2), H(0), H(1), H(3)), [(0, 4)]),
+        ((H(0), H(1), H(3)), [(0, 2), (3, 1)]),
+        ((H(0), H(1), H(0)), [(0, 2), (0, 1)]),
+        ((H(0), X(1), H(1), H(2), CNOT(0, 3), H(3)), [(0, 1), (1, 2), (3, 1)]),
+    ]
+    for gates, calls in cases:
+        arr = np.empty((16, 1))
+        with mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as spy:
+            h = _simulate_batch(gates, [5], [1], arr)
+        assert [c.args[1:] for c in spy.call_args_list] == calls
+        assert h == sum(g.name == "H" for g in gates)
+        want = dense_output(Circuit(4, gates), BasisKet(1, (0, 1, 0, 1)))
+        assert np.allclose(_scale(arr, h)[:, 0], want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
 def test_r_stage_matches_dense_rotation(data):
     k = data.draw(hyp.integers(1, 5))
     angle = data.draw(hyp.floats(-4, 4))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from difflib import SequenceMatcher
 from itertools import product
@@ -283,6 +286,61 @@ def test_every_skip_fault_halves_success(n):
                 assert p < 1.0
 
 
+@settings(max_examples=10, deadline=None)
+@given(hyp.data())
+def test_every_skip_at_n12_is_exactly_half(data):
+    # Each skip splits its layer into at most two wire ranges, which the
+    # kernel applies as separate blocked butterflies.
+    n = 12
+    f = _random_function(data, n)
+    (ket,) = _random_inputs(data, n, 1)
+    for layer in ("first", "second"):
+        for q in range(n + 1):
+            assert success_probability(f, ket, SkipHadamard(layer, q)) == 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_rotation_is_cos_squared_within_1e_12(data):
+    n = data.draw(hyp.integers(1, 12))
+    f = _random_function(data, n)
+    (ket,) = _random_inputs(data, n, 1)
+    layer = data.draw(hyp.sampled_from(["first", "second"]))
+    angle = data.draw(hyp.floats(-4, 4))
+    fault = RotateQubit(layer, data.draw(hyp.integers(0, n)), angle)
+    assert abs(success_probability(f, ket, fault) - math.cos(angle) ** 2) <= 1e-12
+
+
+_THREAD_PROBE = """
+import hashlib
+from symtest import pipeline
+from symtest.boolfunc import ParityForm, from_parity_form
+from symtest.statevec import BasisKet
+n = 14
+f = from_parity_form(ParityForm(n, (1, 1, 0) * 4 + (0, 1), 1))
+ket = BasisKet(-1, (0, 1, 1) * 4 + (1, 0, 1))
+clean = pipeline.run_vector(f, ket).amplitudes
+rotated, _ = pipeline._simulate(f, [ket.index], [ket.sign], pipeline.RotateQubit("first", 5, 0.3))
+print(hashlib.sha256(clean.tobytes()).hexdigest(), hashlib.sha256(rotated.tobytes()).hexdigest())
+"""
+
+
+def test_output_bytes_do_not_depend_on_blas_threads():
+    # The Hadamard blocks are BLAS matrix products; their bytes must not
+    # depend on how many threads BLAS splits the work over.
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = [sys.executable, "-c", _THREAD_PROBE]
+        out = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.5])
 @pytest.mark.parametrize("layer", ["first", "second"])
 def test_rotate_gives_cos_squared(eps, layer):
@@ -356,6 +414,27 @@ def test_run_memory_at_19_qubits():
         finally:
             tracemalloc.stop()
         assert peak < 20e6, (fault, peak)
+
+
+def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
+    # The state is 8.4 MB; H and R work through a 256 KB scratch, a swap
+    # copies one half, and the readout reads a chunk of rows at a time.
+    n = 19
+    state = 8 << (n + 1)
+    f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 0))
+    ket = BasisKet(1, (1, 1, 0) * 6 + (0, 1))
+    faults = (SkipHadamard("second", 19), RotateQubit("first", 0, 0.7), CorruptOracleEntry(1 << 18))
+    for fault in (None,) + faults:
+        tracemalloc.start()
+        try:
+            if fault is None:
+                assert run(f, ket) == predict(f, ket)
+            else:
+                assert success_probability(f, ket, fault) < 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * state, (fault, peak)
 
 
 def test_fault_validation():

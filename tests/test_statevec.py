@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
+from symtest import statevec
 from symtest.statevec import (
+    _CHUNK,
     BasisKet,
     EntangledError,
     NotBasisStateError,
@@ -128,10 +133,63 @@ def test_butterfly_batch_matches_columns(k, width, data):
         assert np.array_equal(batch[:, j], col)
 
 
+def _single_wire(arr, qubit):
+    """The one-wire butterfly (a, b) -> (a+b, a-b): the blocked kernel's reference."""
+    a, b = arr.reshape(1 << qubit, 2, -1).transpose(1, 0, 2)
+    return np.stack([a + b, a - b], axis=1).reshape(arr.shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyp.integers(1, 12), hyp.integers(1, 17), hyp.booleans(), hyp.data())
+def test_blocked_butterfly_matches_single_wires_and_dense(k, width, integer, data):
+    qubit = data.draw(hyp.integers(0, k - 1))
+    count = data.draw(hyp.integers(1, k - qubit))
+    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
+    if integer:
+        batch = rng.integers(-8, 9, (1 << k, width)).astype(float)
+    else:
+        batch = rng.standard_normal((1 << k, width))
+    if width == 1 and data.draw(hyp.booleans()):
+        batch = batch[:, 0].copy()
+    want = batch
+    for q in range(qubit, qubit + count):
+        want = _single_wire(want, q)
+    wants = [want]
+    if count <= 8:
+        # The dense Kronecker product I (x) H^{(x)count} (x) I, on the reshaped axes.
+        dense = reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * count)
+        shaped = batch.reshape(1 << qubit, 1 << count, -1)
+        wants.append(np.einsum("ij,ajb->aib", dense, shaped).reshape(batch.shape))
+    got = batch.copy()
+    butterfly(got, qubit, count)
+    for want in wants:
+        if integer:
+            assert np.array_equal(got, want)
+        else:
+            # Compared as the unitary, normalized transform.
+            assert np.abs(got - want).max() * 2.0 ** (-count / 2) <= 1e-12
+
+
+def test_butterfly_allocates_only_its_scratch():
+    arr = np.zeros((1 << 20, 1))
+    arr[5] = 1.0
+    tracemalloc.start()
+    try:
+        butterfly(arr, 0, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CHUNK * 8 + 4096, peak
+    assert np.array_equal(np.abs(arr), np.ones_like(arr))
+
+
 def test_butterfly_rejects_strided_array():
     batch = np.zeros((4, 2))
     with pytest.raises(ValueError):
         butterfly(batch[:, 0], 0)
+    for qubit, count in ((-1, 1), (2, 1), (1, 2), (0, 3), (1, -2)):
+        with pytest.raises(ValueError, match="out of range"):
+            butterfly(batch, qubit, count)
 
 
 def test_read_basis_columns():
@@ -146,6 +204,39 @@ def test_read_basis_columns():
     index, sign = read_basis_columns(batch)
     assert sign.tolist() == [-1, 1, 0, 0]
     assert index[:2].tolist() == [1, 2]
+
+
+def _read_reference(arr, tolerance=1e-9):
+    """read_basis_columns through one full-size np.abs: the reference."""
+    mags = np.abs(arr)
+    cols = np.arange(arr.shape[1])
+    index = np.argmax(mags, axis=0)
+    peak = mags[index, cols]
+    mags[index, cols] = 0.0
+    ok = (np.abs(peak - 1.0) <= tolerance) & (mags.max(axis=0) <= tolerance)
+    return index, np.where(ok, np.where(arr[index, cols] > 0, 1, -1), 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hyp.integers(1, 10), hyp.integers(1, 17), hyp.sampled_from([4, 64, _CHUNK]), hyp.data())
+def test_read_basis_columns_matches_full_magnitude_reference(k, width, chunk, data):
+    # Signed basis columns, some with a few entries overwritten: ties of
+    # +-1, NaN, signed zeros, and values near 0 and 1.
+    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
+    cols = np.arange(width)
+    arr = np.zeros((1 << k, width))
+    arr[rng.integers(0, 1 << k, width), cols] = rng.choice([1.0, -1.0], width)
+    palette = [0.0, -0.0, 1.0, -1.0, 1e-10, -1e-10, 0.5, math.nan, 1 + 1e-10, -2.0]
+    for j in cols:
+        hits = rng.integers(0, 3)
+        arr[rng.integers(0, 1 << k, hits), j] = rng.choice(palette, hits)
+    before = arr.copy()
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        index, sign = read_basis_columns(arr)
+    want_index, want_sign = _read_reference(arr)
+    assert np.array_equal(arr, before, equal_nan=True)
+    assert sign.tolist() == want_sign.tolist()
+    assert index.tolist() == want_index.tolist()
 
 
 def test_factor_reference_product_state():
