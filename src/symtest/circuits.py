@@ -18,10 +18,11 @@ the angle in its `arg`.  _simulate_batch is the one simulator, for these
 circuits and the pipeline alike.  It works on a (2^k, B) array whose
 columns are basis inputs: a run of H gates on distinct wires is one
 butterfly call per contiguous wire range (blocked +-1 matrix products,
-exact on integer amplitudes below 2^53), X, CNOT and U swap blocks of
-amplitudes in place, R is a 2 x 2 block product, and the Hadamard scale
-is applied once at the end, so a circuit with an even number of H gates
-is simulated exactly.  simulate_circuit is the one-column case;
+exact on integer amplitudes below 2^53), a run of X, CNOT and U gates is
+one permutation of the array's rows, gathered in place a chunk at a time
+(pure copies, so exact), R is a 2 x 2 block product, and the Hadamard
+scale is applied once at the end, so a circuit with an even number of H
+gates is simulated exactly.  simulate_circuit is the one-column case;
 assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
 (16 columns at 12 wires), simulated into two reused buffers, so its
 memory stays bounded however many inputs it checks.
@@ -29,12 +30,14 @@ memory stays bounded however many inputs it checks.
 
 import functools
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby, islice, product
 
 import numpy as np
 
+from . import statevec
 from .boolfunc import TruthTable, to_parity_form
 from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_columns, check_tolerance
 
@@ -64,8 +67,14 @@ class Gate:
             raise ValueError("CNOT control and target must differ")
         if (self.arg is None) == (self.name in ("U", "R")):
             raise ValueError(f"{self.name}: U and R need an argument, other gates take none")
+        if self.name == "U" and not isinstance(self.arg, TruthTable):
+            raise ValueError(f"U takes a TruthTable, got {type(self.arg).__name__}")
         if self.name == "U" and self.qubits != (self.arg.n,):
             raise ValueError(f"U of an n={self.arg.n} table targets wire {self.arg.n}")
+        if self.name == "R" and not isinstance(self.arg, numbers.Real):
+            raise ValueError(f"R takes a real angle, got {type(self.arg).__name__}")
+        if self.name == "R" and not math.isfinite(self.arg):
+            raise ValueError(f"rotation angle must be finite, got {self.arg}")
 
     def __str__(self) -> str:
         return " ".join([self.name] + [str(q) for q in self.qubits])
@@ -137,13 +146,6 @@ def pipeline_as_circuit(f: TruthTable) -> Circuit:
     return Circuit(f.n + 1, layer + oracle_as_cnots(f).gates + layer)
 
 
-def _swap(a: np.ndarray, b: np.ndarray, where=True) -> None:
-    # A ufunc tests overlap exactly; assignment would first copy the interleaved b whole.
-    t = a.copy()
-    np.positive(b, out=a, where=where)
-    np.positive(t, out=b, where=where)
-
-
 def _hadamards(arr: np.ndarray, wires: list[int]) -> int:
     """H on each of the distinct `wires`, one butterfly call per contiguous
     range of them; returns the number of H gates applied."""
@@ -153,47 +155,113 @@ def _hadamards(arr: np.ndarray, wires: list[int]) -> int:
     return len(wires)
 
 
+def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
+    """Map the consecutive rows in `idx` in place to their preimages under a
+    run of X, CNOT and U gates on k wires: each gate is its own inverse, so
+    the run is undone from its end.  `tmp` and `bits` are scratch."""
+    for i, g in enumerate(reversed(gates)):
+        pos = [k - 1 - q for q in g.qubits]  # wire 0 is the most significant bit
+        if g.name == "X":  # x ^= bit(q)
+            np.bitwise_xor(idx, 1 << pos[0], out=idx)
+        elif g.name == "CNOT":  # x ^= x[c] << t
+            np.right_shift(idx, pos[0], out=tmp)
+            np.bitwise_and(tmp, 1, out=tmp)
+            np.left_shift(tmp, pos[1], out=tmp)
+            np.bitwise_xor(idx, tmp, out=idx)
+        else:  # U: the ancilla, bit 0, ^= f(x >> 1)
+            table = np.frombuffer(g.arg.table, np.uint8)
+            if i == 0 and len(idx) > 1:
+                # Still consecutive rows: one uint16 of `bits` holds f(t) for rows 2t and 2t+1.
+                start = int(idx[0]) >> 1
+                pairs = table[start : start + len(idx) // 2]
+                np.multiply(pairs, np.uint16(0x101), out=bits.view(np.uint16))
+            else:
+                np.right_shift(idx, 1, out=tmp)
+                np.take(table, tmp, out=bits, mode="clip")
+            np.bitwise_xor(idx, bits, out=idx)
+
+
+def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
+    """Apply a run of X, CNOT and U gates to the rows of the C-contiguous
+    (2^k, B) array `arr` in place, as one row gather: row i of the result is
+    row sigma^-1(i), sigma the run's permutation of basis states.
+
+    Rows move in chunks of at most _CHUNK amplitudes (or one row), through
+    buffers allocated once per call.  sigma changes only target bits, so a
+    chunk draws its rows from one source chunk, and chunks move along the
+    cycles of that map with one chunk held aside.  A CNOT with its target
+    above the chunk and its control inside breaks that rule; it is applied
+    alone, as a masked exchange of chunk pairs through the held chunk.
+    """
+    k = len(arr).bit_length() - 1
+    low = min(k, max(1, statevec._CHUNK // arr.shape[1]).bit_length() - 1)  # row bits in a chunk
+    chunks = arr.reshape(-1, 1 << low, arr.shape[1])
+    held = np.empty_like(chunks[0])
+    rows = np.arange(1 << low)
+    idx, tmp, bits = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows), np.uint8)
+
+    def splits(g: Gate) -> bool:
+        return g.name == "CNOT" and k - 1 - g.qubits[1] >= low > k - 1 - g.qubits[0]
+
+    for split, part in groupby(gates, splits):
+        part = list(part)
+        if split:
+            for g in part:
+                # Rows with the control set trade places with the same rows of the partner chunk.
+                step = 1 << (k - 1 - g.qubits[1] - low)
+                np.right_shift(rows, k - 1 - g.qubits[0], out=idx)
+                mask = np.bitwise_and(idx, 1, out=idx).astype(bool)[:, None]
+                for j in range(len(chunks)):
+                    if not j & step:
+                        np.copyto(held, chunks[j])
+                        np.copyto(chunks[j], chunks[j | step], where=mask)
+                        np.copyto(chunks[j | step], held, where=mask)
+            continue
+        moved = [False] * len(chunks)
+        for first in range(len(chunks)):
+            if moved[first]:
+                continue
+            np.copyto(held, chunks[first])
+            j = first
+            while not moved[j]:
+                moved[j] = True
+                np.add(rows, j << low, out=idx)
+                _unpermute(part, k, idx, tmp, bits)
+                source = int(idx[0]) >> low  # all of chunk j's rows come from this chunk
+                np.bitwise_and(idx, len(rows) - 1, out=idx)
+                origin = held if source == first else chunks[source]
+                np.take(origin, idx, axis=0, out=chunks[j], mode="clip")
+                j = source
+
+
 def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
     """Fill the C-contiguous (2^k, B) array `arr` with the columns
     sign[j] * |index[j]>, apply the gates to it in place and return the
     number h of H gates applied; _scale then normalizes the batch.
 
     A run of H gates on distinct wires is applied when any other gate or a
-    repeated wire ends it; X, CNOT and U swap blocks of amplitudes on
-    reshaped views, and R mixes the two halves of its wire.
+    repeated wire ends it; a run of X, CNOT and U gates is one row
+    permutation, and R mixes the two halves of its wire.
     """
     arr.fill(0.0)
     arr[index, np.arange(len(index))] = sign
     h = 0
-    wires: list[int] = []  # a run of H gates on distinct wires, not yet applied
-    for g in gates:
-        q = g.qubits
-        if g.name == "H" and q[0] not in wires:
-            wires.append(q[0])
-            continue
-        h += _hadamards(arr, wires)
-        wires = [q[0]] if g.name == "H" else []
-        if g.name == "X":
-            shaped = arr.reshape(1 << q[0], 2, -1)
-            _swap(shaped[:, 0], shaped[:, 1])
-        elif g.name == "U":
-            # Swap the pair (2t, 2t+1) of every column where f(t) = 1; the
-            # mask is a zero-copy view of the table's 0/1 bytes.
-            pairs = arr.reshape(-1, 2, arr.shape[1])
-            _swap(pairs[:, 0], pairs[:, 1], np.frombuffer(g.arg.table, np.bool_)[:, None])
-        elif g.name == "R":
-            c, s = math.cos(g.arg), math.sin(g.arg)
-            _apply(arr, q[0], np.array([[c, -s], [s, c]]))
-        elif g.name == "CNOT":
-            # Axes 1 and 3 are the two wires, in index order; swap the
-            # target halves where the control is 1.
-            lo, hi = sorted(q)
-            shaped = arr.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-            if q[0] < q[1]:
-                _swap(shaped[:, 1, :, 0], shaped[:, 1, :, 1])
-            else:
-                _swap(shaped[:, 0, :, 1], shaped[:, 1, :, 1])
-    return h + _hadamards(arr, wires)
+    for kind, run in groupby(gates, lambda g: "P" if g.name in ("X", "CNOT", "U") else g.name):
+        if kind == "P":
+            _permute(arr, list(run))
+        elif kind == "R":
+            for g in run:
+                c, s = math.cos(g.arg), math.sin(g.arg)
+                _apply(arr, g.qubits[0], np.array([[c, -s], [s, c]]))
+        else:
+            wires: list[int] = []  # a run of H gates on distinct wires, not yet applied
+            for g in run:
+                if g.qubits[0] in wires:
+                    h += _hadamards(arr, wires)
+                    wires = []
+                wires.append(g.qubits[0])
+            h += _hadamards(arr, wires)
+    return h
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
@@ -212,8 +280,12 @@ def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:
     return [ket.index for ket in kets], [ket.sign for ket in kets]
 
 
-def simulate_circuit(circ: Circuit, input: BasisKet) -> StateVector:
+def simulate_circuit(
+    circ: Circuit, input: BasisKet, max_qubits: int = statevec.MAX_QUBITS
+) -> StateVector:
     """Apply the gates left to right to the input ket's vector."""
+    if circ.wires > max_qubits:
+        raise ValueError(f"circuit on {circ.wires} wires exceeds the cap of {max_qubits}")
     index, sign = _columns([input], circ.wires)
     arr = np.empty((1 << circ.wires, 1))
     h = _simulate_batch(circ.gates, index, sign, arr)

@@ -20,11 +20,11 @@ inputs of one f through in one pass, while run() and friends pass a
 single column.  Simulation is exact for the unfaulted pipeline: each
 H layer is one butterfly call, +-1 matrix products on integer amplitudes
 whose partial sums never exceed 2^k <= 2^20 (float64 is exact below
-2^53), U swaps amplitude pairs, and the 2k Hadamards leave a
-power-of-two scale that is divided out at the end.
+2^53), U is a row gather that moves amplitudes without arithmetic, and
+the 2k Hadamards leave a power-of-two scale that is divided out at the
+end.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal, Union
 
@@ -104,8 +104,6 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
         layer = layers[fault.layer]
         if isinstance(fault, SkipHadamard):
             layers[fault.layer] = layer[: fault.qubit] + layer[fault.qubit + 1 :]
-        elif not math.isfinite(fault.angle):
-            raise ValueError(f"rotation angle must be finite, got {fault.angle}")
         else:
             layers[fault.layer] = layer + (Gate("R", (fault.qubit,), fault.angle),)
     elif isinstance(fault, CorruptOracleEntry):

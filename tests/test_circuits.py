@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import reduce
 from itertools import islice, permutations
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
+from symtest.bitops import bits_to_int, int_to_bits
 from symtest.boolfunc import (
     NotAdmissibleError,
     ParityForm,
@@ -14,7 +16,7 @@ from symtest.boolfunc import (
     from_parity_form,
     generate_functions,
 )
-from symtest import circuits
+from symtest import circuits, statevec
 from symtest.circuits import (
     _BATCH_AMPLITUDES,
     CNOT,
@@ -132,6 +134,22 @@ def test_simulate_circuit_global_sign():
     assert vector_to_ket(simulate_circuit(c, parse_ket("+0"))) == parse_ket("-1")
 
 
+@pytest.mark.parametrize("wires", [21, 40])
+def test_simulate_circuit_qubit_cap(wires):
+    # The cap is checked before the 2^wires state is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"circuit on {wires} wires exceeds the cap of 20"):
+            simulate_circuit(Circuit(wires), BasisKet(1, (0,) * wires))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert simulate_circuit(Circuit(3, (X(0),)), parse_ket("+000"), max_qubits=3).k == 3
+    with pytest.raises(ValueError, match="exceeds the cap of 2"):
+        simulate_circuit(Circuit(3), parse_ket("+000"), max_qubits=2)
+
+
 def test_simulate_circuit_width_mismatch():
     with pytest.raises(ValueError):
         simulate_circuit(Circuit(2), parse_ket("+011"))
@@ -194,6 +212,15 @@ def test_gate_validation():
     with pytest.raises(ValueError, match="last of the 4 wires"):
         Circuit(4, (Gate("U", (2,), tt("0110")),))
     assert Circuit(3, (Gate("U", (2,), tt("0110")), Gate("R", (0,), 0.5))).wires == 3
+    # U takes a truth table and R a finite real angle, checked when the gate is built.
+    with pytest.raises(ValueError, match="U takes a TruthTable, got float"):
+        Gate("U", (3,), 0.5)
+    with pytest.raises(ValueError, match="R takes a real angle, got TruthTable"):
+        Gate("R", (0,), tt("0110"))
+    for angle in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            Gate("R", (0,), angle)
+    assert Gate("R", (0,), np.float64(0.5)).arg == 0.5
 
 
 def test_circuit_text_form():
@@ -449,3 +476,94 @@ def test_equivalence_memory_is_bounded():
         tracemalloc.stop()
     assert ok
     assert peak < 2 * 1024 * 1024
+
+
+def _permutation_matrix(g, k):
+    """The 0/1 matrix of one X, CNOT or U gate on k wires, built from the
+    gate's definition on basis states: |x> goes to |g(x)>."""
+    if g.name == "U":
+        return QuantumOracle(g.arg).matrix()
+    m = np.zeros((1 << k, 1 << k), dtype=np.uint8)
+    for x in range(1 << k):
+        bits = list(int_to_bits(x, k))
+        if g.name == "X":
+            bits[g.qubits[0]] ^= 1
+        else:
+            bits[g.qubits[1]] ^= bits[g.qubits[0]]
+        m[bits_to_int(bits), x] = 1
+    return m
+
+
+@hyp.composite
+def permutation_runs(draw, k):
+    """Runs of X, CNOT and U gates on k wires, with the orderings that matter:
+    CNOT(a, b) CNOT(b, a), X on a control wire of a following U, a CNOT
+    from the last wire into the first, and X on wire 0."""
+    table = hyp.lists(hyp.integers(0, 1), min_size=1 << (k - 1), max_size=1 << (k - 1))
+    wire = hyp.integers(0, k - 1)
+    kinds = hyp.sampled_from(["X", "CNOT", "U", "pair", "XU", "far", "X0"])
+    gates = []
+    for kind in draw(hyp.lists(kinds, max_size=8)):
+        if k == 1 and kind != "X0":
+            kind = "X"
+        if kind in ("X", "X0"):
+            gates.append(X(0 if kind == "X0" else draw(wire)))
+        elif kind in ("CNOT", "pair"):
+            c, t = draw(hyp.permutations(range(k)))[:2]
+            gates += [CNOT(c, t), CNOT(t, c)] if kind == "pair" else [CNOT(c, t)]
+        elif kind == "far":
+            gates.append(CNOT(k - 1, 0))
+        else:
+            u = Gate("U", (k - 1,), TruthTable(k - 1, draw(table)))
+            gates += [X(draw(hyp.integers(0, k - 2))), u] if kind == "XU" else [u]
+    return gates
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyp.data())
+def test_permutation_runs_match_dense_permutations(data):
+    # One row gather per run, at chunks of 4 and 64 amplitudes and the
+    # default: bit-identical to the gates applied one by one as matrices.
+    k = data.draw(hyp.integers(1, 10))
+    width = data.draw(hyp.integers(1, 17))
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
+    gates = data.draw(permutation_runs(k))
+    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal((1 << k, width))
+    arr[rng.integers(0, 1 << k, 3), rng.integers(0, width, 3)] = [-0.0, np.nan, np.inf]
+    want = arr.copy()
+    for g in gates:
+        m = _permutation_matrix(g, k)
+        assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
+        want = want[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        circuits._permute(arr, gates)
+    assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("gates", [(X(0), CNOT(1, 19), X(5)), (CNOT(7, 0),)])
+def test_permutation_memory_at_20_wires(gates):
+    # The kernel moves rows through chunk-sized buffers; the peak is the
+    # state and the copy StateVector keeps, with no block-sized temporary.
+    state = 8 << 20
+    ket = BasisKet(1, (1, 0) * 10)
+    tracemalloc.start()
+    try:
+        out = simulate_circuit(Circuit(20, gates), ket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state + 16384, peak
+    # The kernel alone: a held chunk and index scratch, no block-sized buffer.
+    arr = np.empty((1 << 20, 1))
+    tracemalloc.start()
+    try:
+        _simulate_batch(gates, [ket.index], [1], arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * statevec._CHUNK, peak
+    bits = list(ket.bits)
+    for g in gates:
+        bits[g.qubits[-1]] ^= 1 if g.name == "X" else bits[g.qubits[0]]
+    assert vector_to_ket(out) == BasisKet(1, tuple(bits))

@@ -397,8 +397,8 @@ def test_fault_is_one_gate_list_edit(fault):
 
 
 def test_run_memory_at_19_qubits():
-    # One (2^20, 1) float64 state is 8 MB; the kernel works on it in place,
-    # with one half-size temporary per gate and the readout's magnitudes.
+    # One (2^20, 1) float64 state is 8 MB; the kernel works on it in place
+    # through chunk-sized buffers, and the readout reads a chunk at a time.
     n = 19
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
     ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
@@ -417,8 +417,9 @@ def test_run_memory_at_19_qubits():
 
 
 def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
-    # The state is 8.4 MB; H and R work through a 256 KB scratch, a swap
-    # copies one half, and the readout reads a chunk of rows at a time.
+    # The state is 8.4 MB; H and R work through a 256 KB scratch, U moves
+    # rows through chunk-sized buffers, and the readout reads a chunk of rows
+    # at a time.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 0))
@@ -435,6 +436,29 @@ def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * state, (fault, peak)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, SkipHadamard("first", 3), RotateQubit("second", 7, 0.3), CorruptOracleEntry(5)],
+)
+def test_run_peak_memory_is_within_1_25_states_at_19_qubits(fault):
+    # U is one row gather through buffers of at most 2^15 rows, so the
+    # state itself is nearly all of the peak, with every fault kind.
+    n = 19
+    state = 8 << (n + 1)
+    f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
+    ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
+    tracemalloc.start()
+    try:
+        if fault is None:
+            assert run(f, ket) == predict(f, ket)
+        else:
+            assert success_probability(f, ket, fault) < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state, (fault, peak)
 
 
 def test_fault_validation():
