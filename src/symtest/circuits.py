@@ -16,7 +16,10 @@ Gate lists also hold the pipeline's two stages: U, the oracle of the
 truth table in its `arg`, on the last wire, and R, a real rotation by
 the angle in its `arg`.  _simulate_batch is the one simulator, for these
 circuits and the pipeline alike.  It works on a (2^k, B) array whose
-columns are basis inputs: a run of H gates on distinct wires is one
+columns are basis inputs.  The fill writes the leading run of H gates on
+distinct wires in closed form, H^(x)W on a signed basis state, as one
+outer product of two small +-1/0 factors (a one-hot scatter when there is
+no such run).  After it, a run of H gates on distinct wires is one
 butterfly call per contiguous wire range (blocked +-1 matrix products,
 exact on integer amplitudes below 2^53), a run of X, CNOT and U gates is
 one permutation of the array's rows, gathered in place a chunk at a time
@@ -31,7 +34,7 @@ memory stays bounded however many inputs it checks.
 import functools
 import math
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import groupby, islice, product
 
@@ -46,6 +49,16 @@ MAX_EQUIV_QUBITS = 12
 # columns at 12 wires and fewer at more, so its memory is bounded for any
 # wire count.  At 12 wires, 4 columns ran 1.7x slower, and 32 no faster.
 _BATCH_AMPLITUDES = 1 << 16
+
+# The fill's +-1 table (-1)^|r & y| for r, y < 2^6, 4 KB of int8; its top-left
+# 2^m x 2^m block serves m <= 6 bits, and longer halves are built from it
+# per call.  A table for the 10-bit halves of 20 wires would hold 1 MB for
+# the life of the process and lift a first run at n = 19 past 1.25 states.
+_SYLVESTER_BITS = 6
+_SYLVESTER = np.ones((1, 1), np.int8)
+for _ in range(_SYLVESTER_BITS):
+    _SYLVESTER = np.kron(_SYLVESTER, np.array([[1, 1], [1, -1]], np.int8))
+_SYLVESTER.flags.writeable = False
 
 _GATE_ARITY = {"H": 1, "X": 1, "CNOT": 2, "U": 1, "R": 1}
 
@@ -234,17 +247,65 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
                 j = source
 
 
-def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
-    """Fill the C-contiguous (2^k, B) array `arr` with the columns
-    sign[j] * |index[j]>, apply the gates to it in place and return the
-    number h of H gates applied; _scale then normalizes the batch.
+def _leading_hadamards(gates: Sequence[Gate]) -> list[int]:
+    """Wires of the longest prefix of `gates` that is H on distinct wires."""
+    wires: list[int] = []
+    for g in gates:
+        if g.name != "H" or g.qubits[0] in wires:
+            break
+        wires.append(g.qubits[0])
+    return wires
+
+
+def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
+    """The int8 (2^m, B) factor of the fill on m index bits: row r of column
+    j is (-1)^|r & x[j] & w| where r agrees with x[j] off the bits w, else 0.
+    Halves of more than _SYLVESTER_BITS bits are outer products of their own
+    halves."""
+    if m > _SYLVESTER_BITS:
+        lo, mask = m // 2, (1 << (m // 2)) - 1
+        high, low = _signs(x >> lo, w >> lo, m - lo), _signs(x & mask, w & mask, lo)
+        return (high[:, None] * low[None]).reshape(1 << m, -1)
+    out = _SYLVESTER[: 1 << m, x & w]
+    off = ~w & ((1 << m) - 1)
+    if off:
+        out *= (np.arange(1 << m)[:, None] & off) == (x & off)
+    return out
+
+
+def _fill(arr: np.ndarray, index, sign, wires: list[int]) -> int:
+    """Fill the C-contiguous (2^k, B) array `arr` with the unnormalized
+    columns H^(x)W sign[j] |index[j]>, W the distinct `wires`, and return
+    the number of H gates, len(W).
+
+    Column j is sign[j] * (-1)^|r & x & W| in each row r that agrees with
+    x = index[j] off W, and 0 elsewhere (Bernstein-Vazirani).  That factors
+    over the high and low halves of r, so the batch is one outer product
+    of two int8 factors written in one pass; the integer zeros cast to +0.0,
+    as the butterfly leaves them.  With no wires it is the one-hot scatter.
+    """
+    if not wires:
+        arr.fill(0.0)
+        arr[index, np.arange(len(index))] = sign
+        return 0
+    k = len(arr).bit_length() - 1
+    x = np.asarray(index, dtype=np.int64)
+    w = sum(1 << (k - 1 - q) for q in wires)  # wire 0 is the most significant bit
+    lo, mask = k // 2, (1 << (k // 2)) - 1
+    high, low = _signs(x >> lo, w >> lo, k - lo), _signs(x & mask, w & mask, lo)
+    high *= np.asarray(sign, dtype=np.int8)
+    np.multiply(high[:, None], low[None], out=arr.reshape(len(high), len(low), -1))
+    return len(wires)
+
+
+def _apply_gates(gates: Iterable[Gate], arr: np.ndarray) -> int:
+    """Apply the gates in place to the C-contiguous (2^k, B) array `arr` and
+    return the number h of H gates applied.
 
     A run of H gates on distinct wires is applied when any other gate or a
     repeated wire ends it; a run of X, CNOT and U gates is one row
     permutation, and R mixes the two halves of its wire.
     """
-    arr.fill(0.0)
-    arr[index, np.arange(len(index))] = sign
     h = 0
     for kind, run in groupby(gates, lambda g: "P" if g.name in ("X", "CNOT", "U") else g.name):
         if kind == "P":
@@ -262,6 +323,18 @@ def _simulate_batch(gates: Iterable[Gate], index, sign, arr: np.ndarray) -> int:
                 wires.append(g.qubits[0])
             h += _hadamards(arr, wires)
     return h
+
+
+def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
+    """Simulate the gates on the columns sign[j] * |index[j]> of the
+    C-contiguous (2^k, B) array `arr`, in place, and return the number h of
+    H gates applied; _scale then normalizes the batch.
+
+    The leading run of H gates on distinct wires is the fill's, in closed
+    form; the gates after it are applied to the filled batch.
+    """
+    lead = _leading_hadamards(gates)
+    return _fill(arr, index, sign, lead) + _apply_gates(gates[len(lead) :], arr)
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
@@ -289,7 +362,7 @@ def simulate_circuit(
     index, sign = _columns([input], circ.wires)
     arr = np.empty((1 << circ.wires, 1))
     h = _simulate_batch(circ.gates, index, sign, arr)
-    return StateVector(_scale(arr, h, circ.global_sign)[:, 0])
+    return StateVector._own(_scale(arr, h, circ.global_sign))
 
 
 def iter_basis_inputs(wires: int, last_bit: int | None = None) -> Iterator[BasisKet]:

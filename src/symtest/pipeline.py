@@ -17,12 +17,13 @@ rotation appends an R stage after its layer, and a corrupted oracle
 entry flips one entry of U's table.  The kernel works on a (2^k, B)
 batch whose columns are input states, so verify_all sends all signed
 inputs of one f through in one pass, while run() and friends pass a
-single column.  Simulation is exact for the unfaulted pipeline: each
-H layer is one butterfly call, +-1 matrix products on integer amplitudes
-whose partial sums never exceed 2^k <= 2^20 (float64 is exact below
-2^53), U is a row gather that moves amplitudes without arithmetic, and
-the 2k Hadamards leave a power-of-two scale that is divided out at the
-end.
+single column.  Simulation is exact for the unfaulted pipeline: the
+first H layer is filled in closed form, each input's +-1 Hadamard row,
+without reading f; the second is one butterfly call, +-1 matrix
+products on integer amplitudes whose partial sums never exceed
+2^k <= 2^20 (float64 is exact below 2^53); U is a row gather that moves
+amplitudes without arithmetic; and the 2k Hadamards leave a power-of-two
+scale that is divided out at the end.
 """
 
 from dataclasses import dataclass, field
@@ -141,7 +142,7 @@ def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> 
     """Final state vector of the faultless pipeline, in exact arithmetic."""
     _check_input(f, input)
     arr = _scale(*_simulate(f, [input.index], [input.sign], max_qubits=max_qubits))
-    return StateVector(arr[:, 0])
+    return StateVector._own(arr)
 
 
 def run(

@@ -84,7 +84,18 @@ class StateVector:
     __slots__ = ("k", "amplitudes")
 
     def __init__(self, amplitudes, norm_tol: float = 1e-9):
-        arr = np.array(amplitudes, dtype=float)
+        self._freeze(np.array(amplitudes, dtype=float), norm_tol)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "StateVector":
+        """Wrap a float64 (2^k,) vector or (2^k, 1) batch without copying it.
+        The array is frozen in place, so it must be one that no caller holds."""
+        arr.flags.writeable = False  # and so every view of it
+        v = cls.__new__(cls)
+        v._freeze(arr.reshape(-1), 1e-9)
+        return v
+
+    def _freeze(self, arr: np.ndarray, norm_tol: float) -> None:
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
         check_state_columns(arr[:, None], norm_tol)
@@ -122,7 +133,7 @@ def ket_to_vector(ket: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
         raise ValueError(f"ket has {ket.k} qubits, cap is {max_qubits}")
     arr = np.zeros(1 << ket.k)
     arr[ket.index] = float(ket.sign)
-    return StateVector(arr)
+    return StateVector._own(arr)
 
 
 def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +218,8 @@ def hadamard_all(v: StateVector) -> StateVector:
     """Apply the k-fold Hadamard tensor; unitary and its own inverse."""
     arr = v.amplitudes.copy()
     butterfly(arr, 0, v.k)
-    return StateVector(arr / math.sqrt(1 << v.k))
+    arr /= math.sqrt(1 << v.k)
+    return StateVector._own(arr)
 
 
 def factor_product_state(v: StateVector, tolerance: float = 1e-9) -> list[tuple[float, float]]:

@@ -36,7 +36,14 @@ from symtest.circuits import (
 )
 from symtest.oracle import QuantumOracle
 from symtest.pipeline import run
-from symtest.statevec import BasisKet, StateVector, ket_to_vector, parse_ket, vector_to_ket
+from symtest.statevec import (
+    BasisKet,
+    StateVector,
+    hadamard_all,
+    ket_to_vector,
+    parse_ket,
+    vector_to_ket,
+)
 
 tt = TruthTable.from_string
 
@@ -342,21 +349,49 @@ def test_repeated_h_wire_ends_a_run(data):
 
 def test_h_runs_are_one_butterfly_call_per_wire_range():
     # A layer is one call whatever its gate order; a skipped wire splits
-    # it, and a repeated wire or any other gate starts a new run.
+    # it, and a repeated wire or any other gate starts a new run.  The
+    # leading run is the fill's and makes no call; behind an X the same
+    # runs make the calls they always did.
     cases = [
-        ((H(2), H(0), H(1), H(3)), [(0, 4)]),
-        ((H(0), H(1), H(3)), [(0, 2), (3, 1)]),
-        ((H(0), H(1), H(0)), [(0, 2), (0, 1)]),
-        ((H(0), X(1), H(1), H(2), CNOT(0, 3), H(3)), [(0, 1), (1, 2), (3, 1)]),
+        ((H(2), H(0), H(1), H(3)), [], [(0, 4)]),
+        ((H(0), H(1), H(3)), [], [(0, 2), (3, 1)]),
+        ((H(0), H(1), H(0)), [(0, 1)], [(0, 2), (0, 1)]),
+        ((H(0), X(1), H(1), H(2), CNOT(0, 3), H(3)), [(1, 2), (3, 1)], [(0, 1), (1, 2), (3, 1)]),
     ]
-    for gates, calls in cases:
-        arr = np.empty((16, 1))
-        with mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as spy:
-            h = _simulate_batch(gates, [5], [1], arr)
-        assert [c.args[1:] for c in spy.call_args_list] == calls
-        assert h == sum(g.name == "H" for g in gates)
-        want = dense_output(Circuit(4, gates), BasisKet(1, (0, 1, 0, 1)))
-        assert np.allclose(_scale(arr, h)[:, 0], want, rtol=0, atol=1e-12)
+    for gates, leading, behind_x in cases:
+        for gates, calls in ((gates, leading), ((X(0),) + gates, behind_x)):
+            arr = np.empty((16, 1))
+            with mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as spy:
+                h = _simulate_batch(gates, [5], [1], arr)
+            assert [c.args[1:] for c in spy.call_args_list] == calls
+            assert h == sum(g.name == "H" for g in gates)
+            want = dense_output(Circuit(4, gates), BasisKet(1, (0, 1, 0, 1)))
+            assert np.allclose(_scale(arr, h)[:, 0], want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyp.data())
+def test_fill_matches_one_hot_butterflies_bit_for_bit(data):
+    # The leading run, empty, partial or full and in any wire order, against
+    # a one-hot batch put through the butterfly one wire at a time: the
+    # same bytes, so no -0.0 where the butterfly leaves +0.0.  A table of
+    # fewer bits makes halves of up to 10 bits split as they do at 20 wires.
+    k = data.draw(hyp.integers(1, 10))
+    table_bits = data.draw(hyp.sampled_from([1, 2, 6]))
+    width = data.draw(hyp.integers(1, 17))
+    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
+    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
+    wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(0, k))]
+    arr = np.empty((1 << k, width))
+    with mock.patch.object(circuits, "_SYLVESTER_BITS", table_bits):
+        assert _simulate_batch(tuple(H(q) for q in wires), index, sign, arr) == len(wires)
+    want = np.zeros((1 << k, width))
+    want[index, np.arange(width)] = sign
+    for q in wires:
+        statevec.butterfly(want, q)
+    assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+    dense = _kron_on(k, dict.fromkeys(wires, _H2)) * 2.0 ** (len(wires) / 2)
+    assert np.allclose(arr, dense[:, index] * sign, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,8 +578,9 @@ def test_permutation_runs_match_dense_permutations(data):
 
 @pytest.mark.parametrize("gates", [(X(0), CNOT(1, 19), X(5)), (CNOT(7, 0),)])
 def test_permutation_memory_at_20_wires(gates):
-    # The kernel moves rows through chunk-sized buffers; the peak is the
-    # state and the copy StateVector keeps, with no block-sized temporary.
+    # The kernel moves rows through chunk-sized buffers, and StateVector
+    # keeps the kernel's array: the peak is one state, no block-sized
+    # temporary and no copy.
     state = 8 << 20
     ket = BasisKet(1, (1, 0) * 10)
     tracemalloc.start()
@@ -553,7 +589,7 @@ def test_permutation_memory_at_20_wires(gates):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * state + 16384, peak
+    assert peak <= 1.25 * state, peak
     # The kernel alone: a held chunk and index scratch, no block-sized buffer.
     arr = np.empty((1 << 20, 1))
     tracemalloc.start()
@@ -567,3 +603,19 @@ def test_permutation_memory_at_20_wires(gates):
     for g in gates:
         bits[g.qubits[-1]] ^= 1 if g.name == "X" else bits[g.qubits[0]]
     assert vector_to_ket(out) == BasisKet(1, tuple(bits))
+
+
+def test_hadamard_layer_at_20_wires_is_one_state():
+    # The fill writes the whole layer into the kernel's array, which
+    # StateVector then keeps.
+    state = 8 << 20
+    ket = BasisKet(-1, (0, 1, 1) * 6 + (1, 0))
+    tracemalloc.start()
+    try:
+        out = simulate_circuit(Circuit(20, hadamard_layer(20)), ket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state, peak
+    assert not out.amplitudes.flags.writeable
+    assert np.array_equal(out.amplitudes, hadamard_all(ket_to_vector(ket)).amplitudes)

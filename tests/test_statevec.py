@@ -282,6 +282,33 @@ def test_state_vector_validation():
         v.amplitudes[0] = 0.0  # frozen
 
 
+def test_state_vector_never_aliases_a_writeable_array():
+    arr = np.array([0.6, 0.0, 0.8, 0.0])
+    v = StateVector(arr)
+    arr[0], arr[2] = 0.8, 0.6
+    assert v.amplitudes.tolist() == [0.6, 0.0, 0.8, 0.0]
+    # A vector that keeps a kernel's array freezes it, and every view of it.
+    h = hadamard_all(v)
+    assert not np.shares_memory(h.amplitudes, v.amplitudes)
+    for out in (h, ket_to_vector(parse_ket("+01"))):
+        base = out.amplitudes if out.amplitudes.base is None else out.amplitudes.base
+        assert not out.amplitudes.flags.writeable and not base.flags.writeable
+
+
+def test_hadamard_all_at_20_qubits_is_one_state():
+    # One copy of the input, transformed and divided in place, and kept.
+    state = 8 << 20
+    v = ket_to_vector(BasisKet(1, (1, 0) * 10))
+    tracemalloc.start()
+    try:
+        out = hadamard_all(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state, peak
+    assert np.array_equal(np.abs(out.amplitudes), np.full(1 << 20, 2.0**-10))
+
+
 def test_check_state_columns_names_the_first_bad_column():
     batch = np.zeros((4, 3))
     batch[0] = 1.0
