@@ -8,16 +8,26 @@ reversal) or antisymmetric (equal to the complement of their reversal) at
 every recursive halving level.  These are exactly the affine parity functions
 f(x) = c XOR parity(x AND m), and there are 2^(n+1) of them: 2^n
 "positive" (leading bit 0) and 2^n "negative" (leading bit 1).
+
+`iter_tables` streams them depth first from the paper's doubling, each
+table its first half t followed by t or its complement, so the stream
+holds O(2^n) bytes; `function_lines` prints that stream as the listing.
 """
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .bitops import bits_to_int
 
 MAX_N = 20
+# The most `gen` may print.  Listings grow 4x per variable; this admits
+# n <= 12 (49.7 MiB) and refuses n = 13 (198.7 MiB).
+MAX_LISTING_BYTES = 64 << 20
 
 # bytes.translate tables: complement 0/1 entries, and map them to and from text.
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -27,6 +37,10 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 class NotAdmissibleError(ValueError):
     """The truth table is not an affine parity function."""
+
+
+class ListingTooLargeError(ValueError):
+    """The function listing would be larger than MAX_LISTING_BYTES."""
 
 
 class FunctionClass(Enum):
@@ -128,30 +142,40 @@ class ParityForm:
         return "^".join(terms) if terms else "0"
 
 
-def generate_functions(n: int, max_n: int = MAX_N) -> tuple[list[TruthTable], list[TruthTable]]:
-    """Build all positive and negative admissible functions on n variables.
+def _ascending(n: int, lead: int) -> Iterator[bytes]:
+    """Every admissible table on n variables with leading entry `lead`, in
+    ascending order, depth first.  Each comes from its first half t, one
+    such table on n - 1 variables, as t+t or t+complement(t), and t+t is the
+    smaller exactly when t's leading entry is 0."""
+    if n == 0:
+        yield bytes([lead])
+        return
+    for t in _ascending(n - 1, lead):
+        same, flip = t + t, t + t.translate(_FLIP)
+        yield from (flip, same) if lead else (same, flip)
 
-    Level 1 is (00), (01) positive and (11), (10) negative.  Each further
-    level orders the previous level's tables and concatenates each with
-    itself and with its mirror image (its complement, the table at the
-    mirrored list position).  Positives come out in construction order,
-    which is ascending; negatives are reported in ascending numerical
-    order for n >= 2.
+
+def iter_tables(n: int, max_n: int = MAX_N) -> Iterator[bytes]:
+    """Stream the 0/1 byte table of every admissible function on n variables.
+
+    Positives come first, in ascending order, then negatives: ascending for
+    n >= 2, and (11), (10) for n = 1 as in the paper's listing.  The stream
+    is depth first, so it holds one table per level, O(2^n) bytes in all.
     """
     _check_n(n, max_n)
-    positives = [b"\0\0", b"\0\1"]
-    negatives = [b"\1\1", b"\1\0"]
-    for _ in range(n - 1):
-        pos: list[bytes] = []
-        neg: list[bytes] = []
-        for g in sorted(positives + negatives):
-            for table in (g + g, g + g.translate(_FLIP)):
-                (pos if table[0] == 0 else neg).append(table)
-        positives, negatives = pos, sorted(neg)
-    return (
-        [TruthTable(n, table) for table in positives],
-        [TruthTable(n, table) for table in negatives],
-    )
+    negatives = (b"\1\1", b"\1\0") if n == 1 else _ascending(n, 1)
+    return chain(_ascending(n, 0), negatives)
+
+
+def generate_functions(n: int, max_n: int = MAX_N) -> tuple[list[TruthTable], list[TruthTable]]:
+    """All positive and negative admissible functions on n variables, as
+    lists in the order of `iter_tables`.
+
+    The lists hold 2^(n+1) tables of 2^n entries, O(4^n) bytes; callers
+    that only read each table once should take the stream instead.
+    """
+    tables = [TruthTable(n, table) for table in iter_tables(n, max_n)]
+    return tables[: 1 << n], tables[1 << n :]
 
 
 def is_admissible(tt: TruthTable) -> bool:
@@ -242,3 +266,38 @@ def is_invariant_under(tt: TruthTable, delta) -> bool:
 def function_line(tt: TruthTable) -> str:
     """One-line listing form: "<binary> <hex> <decimal> <class>"."""
     return f"{tt} {padded_hex(tt)} {tt.value} {classify(tt).value}"
+
+
+def listing_bytes(n: int) -> int:
+    """Size of the listing for n with every line at the widest: 2^n binary
+    and 2^n/4 hex digits, the decimal digits of 2^(2^n) - 1, the class name,
+    three spaces and a newline, on each of 2^(n+1) lines."""
+    size = 1 << n
+    width = size + max(1, size // 4) + math.ceil(size * math.log10(2)) + len("Positive") + 4
+    return width << (n + 1)
+
+
+def function_lines(n: int, max_n: int = MAX_N) -> Iterator[str]:
+    """Stream `function_line` of every table of `iter_tables`, newline ended.
+
+    A listing over MAX_LISTING_BYTES raises ListingTooLargeError here, so
+    before the first line.
+    """
+    tables = iter_tables(n, max_n)
+    size = listing_bytes(n)
+    if size > MAX_LISTING_BYTES:
+        raise ListingTooLargeError(
+            f"the listing for n={n} is {size / (1 << 20):.1f} MiB, "
+            f"over the {MAX_LISTING_BYTES >> 20} MiB cap"
+        )
+    return _lines(tables, max(1, (1 << n) // 4))
+
+
+def _lines(tables: Iterator[bytes], digits: int) -> Iterator[str]:
+    """One int conversion per table gives both number fields; the class is
+    the leading entry, which the construction chose."""
+    labels = (FunctionClass.POSITIVE.value, FunctionClass.NEGATIVE.value)
+    for table in tables:
+        text = table.translate(_TEXT).decode("ascii")
+        value = int(text, 2)
+        yield f"{text} {value:0{digits}X} {value} {labels[table[0]]}\n"

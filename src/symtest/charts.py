@@ -51,8 +51,7 @@ class MappingChart:
 
 def build_catalog(n: int, max_n: int = MAX_CHART_N) -> FunctionCatalog:
     """All positive functions, ascending, labeled alphabetically."""
-    positives, _ = generate_functions(n, max_n)  # checks 1 <= n <= max_n
-    positives = sorted(positives, key=lambda tt: tt.value)
+    positives, _ = generate_functions(n, max_n)  # checks 1 <= n <= max_n; ascending
     entries = tuple((function_id(i), tt) for i, tt in enumerate(positives))
     return FunctionCatalog(n, entries)
 

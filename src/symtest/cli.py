@@ -47,9 +47,7 @@ def parse_fault(text: str, n: int) -> pipeline.Fault:
 
 
 def _cmd_gen(args) -> int:
-    positives, negatives = boolfunc.generate_functions(args.n, max_n=args.max_qubits)
-    for tt in positives + negatives:
-        print(boolfunc.function_line(tt))
+    sys.stdout.writelines(boolfunc.function_lines(args.n, max_n=args.max_qubits))
     return 0
 
 

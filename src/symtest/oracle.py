@@ -33,7 +33,7 @@ class QuantumOracle:
         """Swap amplitude pairs (2t, 2t+1) wherever f(t) = 1."""
         if v.k != self.k:
             raise ValueError(f"vector has {v.k} qubits, oracle acts on {self.k}")
-        return StateVector(v.amplitudes[self.permutation])
+        return StateVector._own(v.amplitudes[self.permutation])  # the gather is a fresh copy
 
     def matrix(self, max_qubits: int = MAX_MATRIX_QUBITS) -> np.ndarray:
         """Materialize the 0/1 permutation matrix (display and tests only)."""

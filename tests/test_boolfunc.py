@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, strategies as hyp
 
 from symtest.boolfunc import (
+    MAX_LISTING_BYTES,
     MAX_N,
     FunctionClass,
+    ListingTooLargeError,
     NotAdmissibleError,
     ParityForm,
     TruthTable,
     classify,
     from_parity_form,
+    function_lines,
     generate_functions,
     hex_decode,
     is_admissible,
     is_invariant_under,
+    iter_tables,
+    listing_bytes,
     padded_hex,
     to_parity_form,
 )
@@ -39,6 +44,35 @@ def all_tables(n):
 
 
 # generation
+
+FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def reference_functions(n):
+    """The paper's level-by-level construction, as 0/1 byte tables.
+
+    Level 1 is (00), (01) positive and (11), (10) negative.  Each further
+    level orders the previous level's tables and concatenates each with
+    itself and with its mirror image (its complement).  Positives come out
+    in construction order, which is ascending; negatives are sorted.
+    """
+    positives, negatives = [b"\0\0", b"\0\1"], [b"\1\1", b"\1\0"]
+    for _ in range(n - 1):
+        pos, neg = [], []
+        for g in sorted(positives + negatives):
+            for table in (g + g, g + g.translate(FLIP)):
+                (pos if table[0] == 0 else neg).append(table)
+        positives, negatives = pos, sorted(neg)
+    return positives, negatives
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stream_equals_level_by_level_construction(n):
+    pos, neg = reference_functions(n)
+    assert list(iter_tables(n)) == pos + neg
+    got_pos, got_neg = generate_functions(n)
+    assert [t.table for t in got_pos] == pos
+    assert [t.table for t in got_neg] == neg
 
 
 def test_generate_n1_matches_reference_listing():
@@ -99,6 +133,23 @@ def test_mirror_recursion_structure(n):
 def test_generate_bounds(n):
     with pytest.raises(ValueError):
         generate_functions(n)
+    with pytest.raises(ValueError):
+        iter_tables(n)  # before the first table is asked for
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_listing_size_is_the_widest_line_on_every_line(n):
+    lines = list(function_lines(n))
+    widest = max(map(len, lines))
+    assert widest == len(lines[-1])  # the all-ones table has the most decimal digits
+    assert listing_bytes(n) == widest * len(lines) >= sum(map(len, lines))
+
+
+def test_listing_cap_admits_n12_and_refuses_n13():
+    assert listing_bytes(12) == 6366 << 13  # 49.7 MiB
+    assert listing_bytes(12) <= MAX_LISTING_BYTES < listing_bytes(13)
+    with pytest.raises(ListingTooLargeError, match=r"198\.7 MiB, over the 64 MiB cap"):
+        function_lines(13)  # before the first line is asked for
 
 
 # admissibility

@@ -1,7 +1,15 @@
+import contextlib
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import pytest
 
+from symtest import cli
+from symtest.boolfunc import TruthTable, function_line, iter_tables
 from symtest.cli import dispatch, parse_fault, parse_function
 from symtest.pipeline import CorruptOracleEntry, RotateQubit, SkipHadamard
 
@@ -67,6 +75,57 @@ def test_gen(capsys):
         "1100 C 12 Negative",
         "1111 F 15 Negative",
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gen_lines_match_function_line(capsys, n):
+    # function_line classifies through is_admissible, independently of the
+    # construction that gen reads the class from.
+    code, out, _ = run_cli(capsys, "gen", str(n))
+    assert code == 0
+    assert out.splitlines() == [function_line(TruthTable(n, t)) for t in iter_tables(n)]
+
+
+def test_gen_10_output_matches_its_pinned_digest(capsys):
+    code, out, _ = run_cli(capsys, "gen", "10")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ab655635199d6a642db3bdd14c5bfc34ea2dfa3b068a2de3601d4314c8d36af0"
+
+
+def test_gen_over_the_listing_cap_prints_nothing(capsys):
+    for argv in (["gen", "13"], ["gen", "13", "--max-qubits", "25"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "198.7 MiB, over the 64 MiB cap" in err
+
+
+def test_gen_at_the_listing_cap_streams_in_little_memory():
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = dispatch(["gen", "12"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
+
+
+def test_gen_at_the_listing_cap_finishes_in_a_subprocess():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(os.devnull, "w") as sink:
+        done = subprocess.run(
+            [sys.executable, "-m", "symtest.cli", "gen", "12"],
+            env=env,
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=20,
+        )
+    assert done.returncode == 0, done.stderr
 
 
 def test_parity(capsys):

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from symtest.boolfunc import TruthTable
+from symtest.boolfunc import ParityForm, TruthTable, from_parity_form
 from symtest.oracle import QuantumOracle, format_matrix
-from symtest.statevec import BasisKet, StateVector, ket_to_vector
+from symtest.statevec import BasisKet, StateVector, hadamard_all, ket_to_vector
 
 tt = TruthTable.from_string
 
@@ -31,6 +32,23 @@ def test_apply_identity_for_zero_function():
     v = StateVector(SUPERPOSITION)
     out = QuantumOracle(tt("0000")).apply(v)
     assert np.array_equal(out.amplitudes, v.amplitudes)
+
+
+def test_apply_at_20_qubits_is_one_state():
+    # The gather makes the one new array, and the result keeps it.
+    n = 19
+    oracle = QuantumOracle(from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 0)))
+    v = hadamard_all(ket_to_vector(BasisKet(1, (0,) * n + (1,))))
+    state = v.amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        out = oracle.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state, peak
+    assert not out.amplitudes.flags.writeable
+    assert np.array_equal(out.amplitudes, v.amplitudes[oracle.permutation])
 
 
 def test_apply_dimension_mismatch():

@@ -243,6 +243,16 @@ def test_batched_columns_match_run_and_predict(data):
         assert np.array_equal(batch[:, j], run_vector(f, ket).amplitudes)
 
 
+@settings(max_examples=10, deadline=None)
+@given(hyp.data())
+def test_run_matches_predict_at_large_n(data):
+    n = data.draw(hyp.integers(13, 19))
+    f = _random_function(data, n)
+    (ket,) = _random_inputs(data, n, 1)
+    assert run(f, ket).output == predict(f, ket).output
+    assert success_probability(f, ket) == 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(hyp.data())
 def test_flipped_entry_fails_readout_in_every_column(data):
