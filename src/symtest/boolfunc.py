@@ -15,6 +15,7 @@ holds O(2^n) bytes; `function_lines` prints that stream as the listing.
 """
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -264,7 +265,12 @@ def is_invariant_under(tt: TruthTable, delta) -> bool:
 
 
 def function_line(tt: TruthTable) -> str:
-    """One-line listing form: "<binary> <hex> <decimal> <class>"."""
+    """One-line listing form: "<binary> <hex> <decimal> <class>".  Raises
+    ValueError when the decimal field may pass Python's int-to-str limit."""
+    digits = math.ceil((1 << tt.n) * math.log10(2))  # of 2^(2^n) - 1, the widest
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits > limit:
+        raise ValueError(f"n={tt.n} takes up to {digits} decimal digits, over the limit of {limit}")
     return f"{tt} {padded_hex(tt)} {tt.value} {classify(tt).value}"
 
 

@@ -21,14 +21,15 @@ distinct wires in closed form, H^(x)W on a signed basis state, as one
 outer product of two small +-1/0 factors (a one-hot scatter when there is
 no such run).  After it, a run of H gates on distinct wires is one
 butterfly call per contiguous wire range (blocked +-1 matrix products,
-exact on integer amplitudes below 2^53), a run of X, CNOT and U gates is
-one permutation of the array's rows, gathered in place a chunk at a time
-(pure copies, so exact), R is a 2 x 2 block product, and the Hadamard
-scale is applied once at the end, so a circuit with an even number of H
-gates is simulated exactly.  simulate_circuit is the one-column case;
-assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
-(16 columns at 12 wires), simulated into two reused buffers, so its
-memory stays bounded however many inputs it checks.
+exact on integer amplitudes below 2^24 in float32), a run of X, CNOT and
+U gates is one permutation of the array's rows, gathered in place a chunk
+at a time (pure copies, so exact), R is a 2 x 2 block product, and the
+Hadamard scale is applied once at the end, so a circuit with an even
+number of H gates is simulated exactly.  Batches that are read out are
+float32 when _batch_dtype allows, else float64; simulate_circuit, the
+one-column case, keeps float64.  assert_equivalent reads its inputs in
+chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated into
+reused buffers, so its memory stays bounded however many inputs it checks.
 """
 
 import functools
@@ -45,7 +46,8 @@ from .boolfunc import TruthTable, to_parity_form
 from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_columns, check_tolerance
 
 MAX_EQUIV_QUBITS = 12
-# Amplitudes per batch in assert_equivalent, 512 KB of float64: 16 input
+# Amplitudes per batch in assert_equivalent, 512 KB of float64 for each
+# circuit and 256 KB of float32 for a circuit simulated in float32: 16 input
 # columns at 12 wires and fewer at more, so its memory is bounded for any
 # wire count.  At 12 wires, 4 columns ran 1.7x slower, and 32 no faster.
 _BATCH_AMPLITUDES = 1 << 16
@@ -199,19 +201,22 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     (2^k, B) array `arr` in place, as one row gather: row i of the result is
     row sigma^-1(i), sigma the run's permutation of basis states.
 
-    Rows move in chunks of at most _CHUNK amplitudes (or one row), through
-    buffers allocated once per call.  sigma changes only target bits, so a
+    Rows move in chunks of at most _CHUNK amplitudes and _CHUNK / 4 rows (or
+    one row), through buffers allocated once per call: a row also takes up
+    to 25 bytes of index scratch.  sigma changes only target bits, so a
     chunk draws its rows from one source chunk, and chunks move along the
     cycles of that map with one chunk held aside.  A CNOT with its target
     above the chunk and its control inside breaks that rule; it is applied
     alone, as a masked exchange of chunk pairs through the held chunk.
     """
     k = len(arr).bit_length() - 1
-    low = min(k, max(1, statevec._CHUNK // arr.shape[1]).bit_length() - 1)  # row bits in a chunk
+    low = min(k, max(1, statevec._CHUNK // max(4, arr.shape[1])).bit_length() - 1)  # row bits in a chunk
     chunks = arr.reshape(-1, 1 << low, arr.shape[1])
     held = np.empty_like(chunks[0])
     rows = np.arange(1 << low)
-    idx, tmp, bits = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows), np.uint8)
+    idx, bits = np.empty_like(rows), np.empty(len(rows), np.uint8)
+    # Shifted indices, which a lone X or U (the pipeline's U stage) does not need.
+    tmp = None if [g.name for g in gates] in (["X"], ["U"]) else np.empty_like(rows)
 
     def splits(g: Gate) -> bool:
         return g.name == "CNOT" and k - 1 - g.qubits[1] >= low > k - 1 - g.qubits[0]
@@ -325,6 +330,16 @@ def _apply_gates(gates: Iterable[Gate], arr: np.ndarray) -> int:
     return h
 
 
+def _batch_dtype(gates: Sequence[Gate]) -> type:
+    """float32 for gates with no R and at most 24 H after the fill, float64
+    otherwise.  The fill writes +-1 or 0, permutations copy, and each H at
+    most doubles the largest magnitude, so every amplitude and partial sum
+    of a +-1 block product is an integer within 2^24, exact in float32."""
+    rest = gates[len(_leading_hadamards(gates)) :]
+    narrow = sum(g.name == "H" for g in rest) <= 24 and all(g.name != "R" for g in rest)
+    return np.float32 if narrow else np.float64
+
+
 def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
     """Simulate the gates on the columns sign[j] * |index[j]> of the
     C-contiguous (2^k, B) array `arr`, in place, and return the number h of
@@ -338,8 +353,11 @@ def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
-    """Multiply a batch in place by global_sign * 2^(-h/2); exact when h is even."""
+    """Multiply a batch by global_sign * 2^(-h/2) and return it; exact when h is
+    even.  An odd h scales a float32 batch as a float64 copy, as float64 would."""
     scale = global_sign * 2.0 ** -(h // 2) * (math.sqrt(0.5) if h % 2 else 1.0)
+    if h % 2:
+        arr = arr.astype(np.float64, copy=False)
     if scale != 1.0:
         arr *= scale
     return arr
@@ -384,10 +402,10 @@ def assert_equivalent(
     """True iff both circuits produce the same vector on every given basis
     input (all of them by default).
 
-    Inputs are simulated as the columns of two reused batches of at most
-    _BATCH_AMPLITUDES amplitudes, and the check stops at the first batch
-    that differs; a ket of the wrong width raises ValueError when its
-    batch is read.
+    Inputs are simulated as the columns of two reused float64 batches of at
+    most _BATCH_AMPLITUDES amplitudes (through a float32 one when
+    _batch_dtype allows), and the check stops at the first batch that
+    differs; a ket of the wrong width raises ValueError when its batch is read.
     """
     if a.wires != b.wires:
         raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
@@ -402,11 +420,14 @@ def assert_equivalent(
     while chunk := list(islice(inputs, columns)):
         index, sign = _columns(chunk, a.wires)
         size = (1 << a.wires) * len(chunk)
-        if work is None:
-            work = (np.empty(size), np.empty(size))  # the first chunk is the widest
-        va, vb = (w[:size].reshape(-1, len(chunk)) for w in work)
-        _scale(va, _simulate_batch(a.gates, index, sign, va), a.global_sign)
-        _scale(vb, _simulate_batch(b.gates, index, sign, vb), b.global_sign)
+        if work is None:  # the first chunk is the widest
+            work = (np.empty(size), np.empty(size), np.empty(size, np.float32))
+        va, vb, small = (w[:size].reshape(-1, len(chunk)) for w in work)
+        for c, out in ((a, va), (b, vb)):
+            arr = small if _batch_dtype(c.gates) == np.float32 else out
+            arr = _scale(arr, _simulate_batch(c.gates, index, sign, arr), c.global_sign)
+            if arr is not out:
+                np.copyto(out, arr)
         check_state_columns(va)
         check_state_columns(vb)
         va -= vb

@@ -21,9 +21,10 @@ single column.  Simulation is exact for the unfaulted pipeline: the
 first H layer is filled in closed form, each input's +-1 Hadamard row,
 without reading f; the second is one butterfly call, +-1 matrix
 products on integer amplitudes whose partial sums never exceed
-2^k <= 2^20 (float64 is exact below 2^53); U is a row gather that moves
-amplitudes without arithmetic; and the 2k Hadamards leave a power-of-two
-scale that is divided out at the end.
+2^k <= 2^20; U is a row gather that moves amplitudes without arithmetic;
+and the 2k Hadamards leave a power-of-two scale that is divided out at
+the end.  Batches are float32, exact below 2^24, unless a rotation fault
+adds an R stage (circuits._batch_dtype); run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .boolfunc import (
     padded_hex,
     to_parity_form,
 )
-from .circuits import Gate, _scale, _simulate_batch, hadamard_layer
+from .circuits import Gate, _batch_dtype, _scale, _simulate_batch, hadamard_layer
 from .statevec import (
     MAX_QUBITS,
     BasisKet,
@@ -119,16 +120,17 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
 
 
 def _simulate(
-    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS, arr=None
+    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS, dtype=None
 ) -> tuple[np.ndarray, int]:
     """Unnormalized output for a batch of signed basis inputs, column j starting
-    as sign[j] * |index[j]> (in `arr` if one is given), and its H count."""
+    as sign[j] * |index[j]>, and its H count; the batch is in `dtype`, by
+    default the gate list's _batch_dtype."""
     k = f.n + 1
     if k > max_qubits:
         raise ValueError(f"pipeline on {k} qubits exceeds the cap of {max_qubits}")
-    if arr is None:
-        arr = np.empty((1 << k, len(index)))
-    return arr, _simulate_batch(_gates(f, fault), index, sign, arr)
+    gates = _gates(f, fault)
+    arr = np.empty((1 << k, len(index)), dtype or _batch_dtype(gates))
+    return arr, _simulate_batch(gates, index, sign, arr)
 
 
 def _prediction(pf: ParityForm, index, sign):
@@ -141,8 +143,8 @@ def _prediction(pf: ParityForm, index, sign):
 def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
     """Final state vector of the faultless pipeline, in exact arithmetic."""
     _check_input(f, input)
-    arr = _scale(*_simulate(f, [input.index], [input.sign], max_qubits=max_qubits))
-    return StateVector._own(arr)
+    arr, h = _simulate(f, [input.index], [input.sign], max_qubits=max_qubits, dtype=np.float64)
+    return StateVector._own(_scale(arr, h))
 
 
 def run(
@@ -237,14 +239,16 @@ def verify_all(n: int, max_n: int = 6) -> VerifyReport:
     index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
     sign = np.tile([1, -1], 1 << n)
     report = VerifyReport(n, 0)
-    arr = np.empty((2 << n, index.size))
+    # Every f has the gate list of positives[0] but for U's table, so its dtype.
+    arr = np.empty((2 << n, index.size), _batch_dtype(_gates(positives[0], None)))
 
     def ket(s, i) -> str:
         return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
 
     for f in positives + negatives:
         want_index, want_sign = _prediction(to_parity_form(f), index, sign)
-        got_index, got_sign = read_basis_columns(_scale(*_simulate(f, index, sign, arr=arr)))
+        h = _simulate_batch(_gates(f, None), index, sign, arr)
+        got_index, got_sign = read_basis_columns(_scale(arr, h))
         report.total += index.size
         for j in np.flatnonzero((got_index != want_index) | (got_sign != want_sign)):
             got = ket(got_sign[j], got_index[j]) if got_sign[j] else "NotBasisState"

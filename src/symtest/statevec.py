@@ -8,7 +8,8 @@ bit of the amplitude index, matching the truth-table convention.
 All operations are pure: inputs are never mutated and amplitude arrays
 are frozen, so values are safe to share across threads.  butterfly, the
 simulators' Hadamard kernel, works in place: blocked +-1 matrix products
-through per-call scratch, exact on integer amplitudes below 2^53.
+through per-call scratch in the array's dtype, exact on integer
+amplitudes below 2^24 in float32 (2^53 in float64).
 """
 
 import math
@@ -23,12 +24,14 @@ MAX_QUBITS = 20
 # The unnormalized Hadamard on m wires is the +-1 matrix H^{(x)m}: a block
 # costs 2^m multiply-adds per amplitude but only one pass over memory.
 _BLOCK_WIRES = 4
-_HADAMARD = [np.ones((1, 1))]
-for _ in range(_BLOCK_WIRES):
-    _HADAMARD.append(np.kron(_HADAMARD[-1], [[1.0, 1.0], [1.0, -1.0]]))
-    _HADAMARD[-1].flags.writeable = False
-# Amplitudes per chunk of scratch, 256 KB of float64; 2^14 and 2^16 timed the
-# same within noise on a 20-wire layer, a (4096, 16) batch and verify 6.
+_HADAMARD = {dtype: [np.ones((1, 1), dtype)] for dtype in (np.float32, np.float64)}
+for matrices in _HADAMARD.values():
+    for _ in range(_BLOCK_WIRES):
+        matrices.append(np.kron(matrices[-1], np.array([[1, 1], [1, -1]], matrices[0].dtype)))
+        matrices[-1].flags.writeable = False
+# Amplitudes per chunk of scratch, 128 KB of float32 or 256 KB of float64;
+# 2^14 and 2^16 timed the same within noise on a float64 20-wire layer, a
+# (4096, 16) batch and verify 6.
 _CHUNK = 1 << 15
 
 
@@ -110,7 +113,7 @@ class StateVector:
 def check_state_columns(arr: np.ndarray, norm_tol: float = 1e-9) -> None:
     """Raise ValueError unless every column of a (2^k, B) batch is a finite
     unit vector; the checks StateVector makes, one column at a time."""
-    norms = np.sqrt(np.einsum("ij,ij->j", arr, arr))
+    norms = np.sqrt(np.einsum("ij,ij->j", arr, arr, dtype=np.float64))
     if not np.isfinite(norms).all():
         finite = np.isfinite(arr)
         if not finite.all():
@@ -158,7 +161,7 @@ def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.nda
         inside = (index >= start) & (index < start + step)
         mags[index[inside] - start, cols[inside]] = 0.0
         rest = np.maximum(rest, mags.max(axis=0))
-    peak = arr[index, cols]
+    peak = arr[index, cols].astype(np.float64)  # tested against a float64 tolerance
     ok = (np.abs(np.abs(peak) - 1.0) <= tolerance) & (rest <= tolerance)
     sign = np.where(ok, np.where(peak > 0, 1, -1), 0)
     return index, sign
@@ -180,24 +183,27 @@ def butterfly(arr: np.ndarray, qubit: int, count: int = 1) -> None:
 
     On one wire this is (a, b) -> (a+b, a-b).  The wires are split into
     balanced blocks of at most 4, and each block is one product with the
-    +-1 matrix H^{(x)m}, applied a chunk at a time.  `arr` is a (2^k,)
-    vector or a C-contiguous (2^k, B) batch of independent columns.
+    +-1 matrix H^{(x)m}, applied a chunk at a time.  `arr` is a float32 or
+    float64 (2^k,) vector or C-contiguous (2^k, B) batch of independent columns.
     """
     if not arr.flags.c_contiguous:
         raise ValueError("butterfly needs a C-contiguous array to work in place")
+    if arr.dtype.type not in _HADAMARD:
+        raise ValueError(f"butterfly works on float32 or float64 amplitudes, got {arr.dtype}")
     if qubit < 0 or count < 0 or len(arr) >> (qubit + count) < 1:
         raise ValueError(f"wires {qubit}..{qubit + count - 1} out of range for {len(arr)} rows")
     blocks = -(-count // _BLOCK_WIRES)
     bounds = [qubit + count * i // blocks for i in range(blocks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        _apply(arr, lo, _HADAMARD[hi - lo])
+        _apply(arr, lo, _HADAMARD[arr.dtype.type][hi - lo])
 
 
 def _apply(arr: np.ndarray, lo: int, matrix: np.ndarray) -> None:
     """Multiply the m wires from `lo` of a C-contiguous array in place by a real
-    2^m x 2^m matrix, through a scratch of at most _CHUNK amplitudes per call."""
+    2^m x 2^m matrix, through a scratch of at most _CHUNK amplitudes of the
+    array's dtype per call."""
     size = len(matrix)
-    scratch = np.empty(min(arr.size, _CHUNK))
+    scratch = np.empty(min(arr.size, _CHUNK), arr.dtype)
     view = arr.reshape(1 << lo, size, -1)
     if view.shape[2] == 1:
         # The block ends at the last wire of one column: multiply its rows from the right.

@@ -1,4 +1,5 @@
 import array
+import sys
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from symtest.boolfunc import (
     TruthTable,
     classify,
     from_parity_form,
+    function_line,
     function_lines,
     generate_functions,
     hex_decode,
@@ -150,6 +152,22 @@ def test_listing_cap_admits_n12_and_refuses_n13():
     assert listing_bytes(12) <= MAX_LISTING_BYTES < listing_bytes(13)
     with pytest.raises(ListingTooLargeError, match=r"198\.7 MiB, over the 64 MiB cap"):
         function_lines(13)  # before the first line is asked for
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_function_line_names_n_and_digits_over_the_int_str_limit():
+    # 2^(2^14) - 1 has 4933 decimal digits, past Python's default limit of 4300.
+    table = TruthTable(14, b"\1" * (1 << 14))
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match=r"n=14 takes up to 4933 decimal digits, over the limit of 4300"):
+            function_line(table)
+        assert len(function_line(TruthTable(13, b"\1" * (1 << 13))).split()[2]) == 2467
+        sys.set_int_max_str_digits(0)  # no limit
+        assert len(function_line(table).split()[2]) == 4933
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # admissibility

@@ -24,6 +24,7 @@ from symtest.circuits import (
     Gate,
     H,
     X,
+    _batch_dtype,
     _scale,
     _simulate_batch,
     assert_equivalent,
@@ -619,3 +620,81 @@ def test_hadamard_layer_at_20_wires_is_one_state():
     assert peak <= 1.25 * state, peak
     assert not out.amplitudes.flags.writeable
     assert np.array_equal(out.amplitudes, hadamard_all(ket_to_vector(ket)).amplitudes)
+
+
+# float32 batches
+
+
+def test_batch_dtype_admits_24_hadamards_after_the_fill():
+    # The fill's leading run does not count; a wire it repeats ends the run.
+    for lead in ((), hadamard_layer(3), (H(1), H(0))):
+        assert _batch_dtype(lead + (X(2),) + (H(0),) * 24) == np.float32
+        assert _batch_dtype(lead + (X(2),) + (H(0),) * 25) == np.float64
+    assert _batch_dtype(hadamard_layer(20) + (H(5),) * 24) == np.float32
+    assert _batch_dtype((H(0), H(0)) + (H(1),) * 23) == np.float32
+    assert _batch_dtype((H(0), H(0)) + (H(1),) * 24) == np.float64
+    assert _batch_dtype(()) == np.float32
+
+
+def test_batch_dtype_gives_float64_to_any_rotation():
+    r = Gate("R", (1,), 0.0)
+    for gates in ((r,), (r,) + hadamard_layer(3), hadamard_layer(3) + (r,), (X(0), r, H(2))):
+        assert _batch_dtype(gates) == np.float64
+
+
+@hyp.composite
+def float32_gate_lists(draw, k):
+    """H, X, CNOT and U gate lists on k wires that _batch_dtype runs in
+    float32: a leading H run, then up to 24 H gates among the others."""
+    lead = draw(hyp.permutations(range(k)))[: draw(hyp.integers(0, k))]
+    gates = [H(q) for q in lead]
+    kinds = ["H", "H", "X"] + (["CNOT", "U"] if k > 1 else [])
+    for kind in draw(hyp.lists(hyp.sampled_from(kinds), max_size=36)):
+        if kind == "CNOT":
+            c, t = draw(hyp.permutations(range(k)))[:2]
+            gates.append(CNOT(c, t))
+        elif kind == "U":
+            table = draw(hyp.lists(hyp.integers(0, 1), min_size=1 << (k - 1), max_size=1 << (k - 1)))
+            gates.append(Gate("U", (k - 1,), TruthTable(k - 1, table)))
+        elif kind == "H" and sum(g.name == "H" for g in gates) - len(lead) < 24:
+            gates.append(H(draw(hyp.integers(0, k - 1))))
+        elif kind == "X":
+            gates.append(X(draw(hyp.integers(0, k - 1))))
+    return tuple(gates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyp.data())
+def test_float32_batch_is_bit_identical_to_float64(data):
+    # Scaled, then cast, the float32 batch equals the float64 batch bit for
+    # bit, odd H counts (scaled in float64) and both global signs included.
+    k = data.draw(hyp.integers(1, 10))
+    gates = data.draw(float32_gate_lists(k))
+    assert _batch_dtype(gates) == np.float32
+    kets = data.draw(hyp.lists(kets_on(k), min_size=1, max_size=6))
+    index, sign = [ket.index for ket in kets], [ket.sign for ket in kets]
+    global_sign = data.draw(hyp.sampled_from([1, -1]))
+    out = []
+    for dtype in (np.float32, np.float64):
+        arr = np.empty((1 << k, len(kets)), dtype)
+        out.append(_scale(arr, _simulate_batch(gates, index, sign, arr), global_sign))
+    narrow, wide = out
+    assert wide.dtype == np.float64
+    assert np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_float32_equivalence_verdicts_equal_float64(data):
+    k = data.draw(hyp.integers(1, 8))
+    a = Circuit(k, data.draw(float32_gate_lists(k)), data.draw(hyp.sampled_from([1, -1])))
+    if data.draw(hyp.booleans()):
+        pair = data.draw(float32_gate_lists(k))[:1] * 2
+        b = Circuit(k, a.gates + pair, a.global_sign)
+    else:
+        b = Circuit(k, data.draw(float32_gate_lists(k)), data.draw(hyp.sampled_from([1, -1])))
+    tol = data.draw(hyp.sampled_from([0.0, 1e-9, 0.3]))
+    kets = data.draw(hyp.lists(kets_on(k), max_size=12))
+    got = assert_equivalent(a, b, tol, kets)
+    with mock.patch.object(circuits, "_batch_dtype", lambda gates: np.float64):
+        assert assert_equivalent(a, b, tol, kets) == got

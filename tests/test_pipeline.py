@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from difflib import SequenceMatcher
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -515,6 +516,79 @@ def test_first_run_in_a_fresh_process_is_within_1_25_states():
     ok, peak = out.stdout.split()
     assert ok == "True"
     assert int(peak) <= 1.25 * state, peak
+
+
+@pytest.mark.parametrize(
+    "fault", [None, SkipHadamard("first", 3), SkipHadamard("second", 19), CorruptOracleEntry(5)]
+)
+def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
+    # The batch is float32, half a float64 state; the corrupt fault adds its
+    # 0.5 MB table, and the kernel's chunk scratch the rest.
+    n = 19
+    state = 8 << (n + 1)
+    f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
+    ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
+    tracemalloc.start()
+    try:
+        if fault is None:
+            assert run(f, ket) == predict(f, ket)
+        else:
+            assert success_probability(f, ket, fault) < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * state, (fault, peak)
+
+
+def _float64_only():
+    """Run the pipeline's batches in float64 whatever the gate list."""
+    return mock.patch.object(pipeline, "_batch_dtype", lambda gates: np.float64)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NotBasisStateError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_float32_pipeline_outputs_equal_float64_bit_for_bit(data):
+    # Random tables, admissible or not, at n <= 8: run's readout and the skip
+    # and corrupt success probabilities of the float32 batch are those of the
+    # float64 batch, to the last bit.
+    n = data.draw(hyp.integers(1, 8))
+    if data.draw(hyp.booleans()):
+        f = _random_function(data, n)
+    else:
+        f = TruthTable(n, data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+    kets = _random_inputs(data, n, 4)
+    layer = data.draw(hyp.sampled_from(["first", "second"]))
+    faults = [
+        SkipHadamard(layer, data.draw(hyp.integers(0, n))),
+        CorruptOracleEntry(data.draw(hyp.integers(0, (1 << n) - 1))),
+    ]
+    for fault in [None] + faults:
+        columns = [k.index for k in kets], [k.sign for k in kets], fault
+        arr, h = pipeline._simulate(f, *columns)
+        assert arr.dtype == np.float32
+        wide = _scale(*pipeline._simulate(f, *columns, dtype=np.float64))
+        assert np.array_equal(_scale(arr, h).astype(np.float64).view(np.uint64), wide.view(np.uint64))
+    g = _random_function(data, n)  # success_probability needs an admissible f
+    got = [_outcome(lambda: run(f, ket)) for ket in kets]
+    got += [success_probability(g, ket, fault).hex() for ket in kets for fault in faults]
+    with _float64_only():
+        want = [_outcome(lambda: run(f, ket)) for ket in kets]
+        want += [success_probability(g, ket, fault).hex() for ket in kets for fault in faults]
+    assert got == want
+
+
+def test_float32_verify_report_equals_float64():
+    for n in (1, 4, 6):
+        got = verify_all(n).render()
+        with _float64_only():
+            assert verify_all(n).render() == got
 
 
 def test_fault_validation():

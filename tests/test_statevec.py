@@ -192,6 +192,16 @@ def test_butterfly_rejects_strided_array():
             butterfly(batch, qubit, count)
 
 
+def test_butterfly_takes_float32_and_float64_only():
+    for dtype in (np.float32, np.float64):
+        arr = np.array([3, 1], dtype)
+        butterfly(arr, 0)
+        assert arr.dtype == dtype and arr.tolist() == [4, 2]
+    for dtype in (np.int64, np.float16, np.complex128):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            butterfly(np.zeros(4, dtype), 0)
+
+
 def test_read_basis_columns():
     batch = np.array(
         [
