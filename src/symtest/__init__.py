@@ -7,8 +7,8 @@ analytically, builds the function catalogs and mapping charts, and
 measures success probability under injected gate faults.
 """
 
+from .bitops import CAPS, CapError
 from .boolfunc import (
-    MAX_N,
     FunctionClass,
     NotAdmissibleError,
     ParityForm,
@@ -52,7 +52,6 @@ from .pipeline import (
     verify_all,
 )
 from .statevec import (
-    MAX_QUBITS,
     BasisKet,
     EntangledError,
     NotBasisStateError,

@@ -1,4 +1,4 @@
-"""Bit-vector helpers shared across the package.
+"""Bit-vector helpers and the size caps shared across the package.
 
 Bit sequences are MSB-first: element 0 of a vector is the leftmost label
 (x1) and the most significant bit of the packed integer.
@@ -28,3 +28,28 @@ def parse_bits(text: str) -> tuple[int, ...]:
 
 def format_bits(bits: Sequence[int]) -> str:
     return "".join(str(b) for b in bits)
+
+
+class CapError(ValueError):
+    """A request is larger than one of the size caps in CAPS."""
+
+
+# Every size cap, each set by the budget beside it (2 vCPUs, Python 3.11, numpy 2.4).
+CAPS = {
+    "n": 20,  # table variables: 2^n bytes, 1 MiB at 20, where classify takes 14 ms
+    "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 16 ms
+    "equiv": 12,  # 2^(k-1) inputs of 2^k amplitudes: equiv takes 0.14 s at 12, 0.55 s at 13
+    "matrix": 12,  # 4^k one-byte entries: 16 MiB and 32 MiB of text at 12, 4x per qubit more
+    "verify": 6,  # 4^(n+1) pipelines: 0.05 s at 6, 0.26 s at 7, 1.6 s at 8, 31 s at 9
+    "chart": 6,  # 2^n rows of 2^n cells: 33 KB of text at 6, 4x per n more
+    "listing": 64 << 20,  # gen's bytes, 4x per n: 49.7 MiB (0.45 s) at n = 12, 198.7 at 13
+}
+
+
+def _check_cap(cap: str, value: int, what: str, limit: int | None = None) -> None:
+    """Raise CapError if `value`, as `what` names it, is over CAPS[cap] or the caller's `limit`."""
+    limit = CAPS[cap] if limit is None else limit
+    if value > limit and cap == "listing":  # a byte count, shown in MiB
+        raise CapError(f"{what} is {value / (1 << 20):.1f} MiB, over the {limit >> 20} MiB cap")
+    if value > limit:
+        raise CapError(f"{what} exceeds the cap of {limit}")

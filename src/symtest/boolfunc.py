@@ -15,6 +15,7 @@ holds O(2^n) bytes; `function_lines` prints that stream as the listing.
 """
 
 import math
+import string
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -23,12 +24,10 @@ from itertools import chain
 
 import numpy as np
 
-from .bitops import bits_to_int
+from .bitops import CAPS, CapError, _check_cap, bits_to_int
 
-MAX_N = 20
-# The most `gen` may print.  Listings grow 4x per variable; this admits
-# n <= 12 (49.7 MiB) and refuses n = 13 (198.7 MiB).
-MAX_LISTING_BYTES = 64 << 20
+MAX_N = CAPS["n"]
+MAX_LISTING_BYTES = CAPS["listing"]
 
 # bytes.translate tables: complement 0/1 entries, and map them to and from text.
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -40,8 +39,7 @@ class NotAdmissibleError(ValueError):
     """The truth table is not an affine parity function."""
 
 
-class ListingTooLargeError(ValueError):
-    """The function listing would be larger than MAX_LISTING_BYTES."""
+ListingTooLargeError = CapError  # what a listing over its cap raises, as every cap does
 
 
 class FunctionClass(Enum):
@@ -50,9 +48,10 @@ class FunctionClass(Enum):
     NOT_ADMISSIBLE = "NotAdmissible"
 
 
-def _check_n(n: int, max_n: int = MAX_N) -> None:
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_cap("n", n, f"n={n}")
 
 
 @dataclass(frozen=True)
@@ -156,26 +155,26 @@ def _ascending(n: int, lead: int) -> Iterator[bytes]:
         yield from (flip, same) if lead else (same, flip)
 
 
-def iter_tables(n: int, max_n: int = MAX_N) -> Iterator[bytes]:
+def iter_tables(n: int) -> Iterator[bytes]:
     """Stream the 0/1 byte table of every admissible function on n variables.
 
     Positives come first, in ascending order, then negatives: ascending for
     n >= 2, and (11), (10) for n = 1 as in the paper's listing.  The stream
     is depth first, so it holds one table per level, O(2^n) bytes in all.
     """
-    _check_n(n, max_n)
+    _check_n(n)
     negatives = (b"\1\1", b"\1\0") if n == 1 else _ascending(n, 1)
     return chain(_ascending(n, 0), negatives)
 
 
-def generate_functions(n: int, max_n: int = MAX_N) -> tuple[list[TruthTable], list[TruthTable]]:
+def generate_functions(n: int) -> tuple[list[TruthTable], list[TruthTable]]:
     """All positive and negative admissible functions on n variables, as
     lists in the order of `iter_tables`.
 
     The lists hold 2^(n+1) tables of 2^n entries, O(4^n) bytes; callers
     that only read each table once should take the stream instead.
     """
-    tables = [TruthTable(n, table) for table in iter_tables(n, max_n)]
+    tables = [TruthTable(n, table) for table in iter_tables(n)]
     return tables[: 1 << n], tables[1 << n :]
 
 
@@ -235,24 +234,28 @@ def padded_hex(tt: TruthTable) -> str:
     return format(tt.value, f"0{max(1, (1 << tt.n) // 4)}X")
 
 
-def hex_decode(text: str, n: int, max_n: int = MAX_N) -> TruthTable:
-    """Parse a truth table from a binary or hex string.
-
-    Accepts a bare binary string of exactly 2^n bits, or hex with a "$"
-    or "0x" prefix, or bare hex.  A bare all-0/1 string whose length is
-    not 2^n is read as hex.
-    """
-    _check_n(n, max_n)
-    size = 1 << n
+def hex_decode(text: str, n: int | None = None) -> TruthTable:
+    """Parse a truth table from a binary or hex string: a bare 0/1 string of
+    2^n digits is binary, and anything else is hex digits after at most one
+    "$" or "0x" prefix.  Without n, a bare 0/1 string of power-of-two length
+    >= 2 gives n directly, and any other string gives 4 bits a hex digit."""
     s = text.strip()
-    if len(s) == size and not s.strip("01"):
+    prefix = 1 if s[:1] == "$" else 2 if s[:2].lower() == "0x" else 0
+    body = s[prefix:]
+    if not body or body.strip(string.hexdigits):  # int() would also take "_", a sign, "0x"
+        raise ValueError(f"malformed function string: {text!r}")
+    binary = not prefix and not s.strip("01")
+    if n is None:
+        size = len(s) if binary and len(s) >= 2 and not len(s) & (len(s) - 1) else 4 * len(body)
+        if size & (size - 1):
+            raise ValueError(f"cannot infer qubit count from {text!r}")
+        n = size.bit_length() - 1
+    _check_n(n)
+    if binary and len(s) == 1 << n:
         return TruthTable.from_string(s)
-    try:
-        value = int(s.removeprefix("$"), 16)  # base-16 int() takes a "0x" prefix itself
-    except ValueError:
-        raise ValueError(f"malformed function string: {text!r}") from None
-    if value >> size:
-        raise ValueError(f"{text!r} does not fit a {size}-bit truth table")
+    value = int(body, 16)
+    if value >> (1 << n):
+        raise ValueError(f"{text!r} does not fit a {1 << n}-bit truth table")
     return TruthTable.from_value(n, value)
 
 
@@ -283,19 +286,14 @@ def listing_bytes(n: int) -> int:
     return width << (n + 1)
 
 
-def function_lines(n: int, max_n: int = MAX_N) -> Iterator[str]:
+def function_lines(n: int) -> Iterator[str]:
     """Stream `function_line` of every table of `iter_tables`, newline ended.
 
-    A listing over MAX_LISTING_BYTES raises ListingTooLargeError here, so
-    before the first line.
+    A listing over CAPS["listing"] raises CapError here, so before the
+    first line.
     """
-    tables = iter_tables(n, max_n)
-    size = listing_bytes(n)
-    if size > MAX_LISTING_BYTES:
-        raise ListingTooLargeError(
-            f"the listing for n={n} is {size / (1 << 20):.1f} MiB, "
-            f"over the {MAX_LISTING_BYTES >> 20} MiB cap"
-        )
+    tables = iter_tables(n)
+    _check_cap("listing", listing_bytes(n), f"the listing for n={n}")
     return _lines(tables, max(1, (1 << n) // 4))
 
 

@@ -10,11 +10,10 @@ render flag annotates that.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .bitops import format_bits, int_to_bits
-from .boolfunc import ParityForm, TruthTable, from_parity_form, generate_functions, padded_hex
-
-MAX_CHART_N = 6
+from .bitops import _check_cap, format_bits, int_to_bits
+from .boolfunc import ParityForm, TruthTable, from_parity_form, iter_tables, padded_hex
 
 
 def function_id(i: int) -> str:
@@ -49,16 +48,17 @@ class MappingChart:
         return self.cells[output_index][input_index]
 
 
-def build_catalog(n: int, max_n: int = MAX_CHART_N) -> FunctionCatalog:
+def build_catalog(n: int) -> FunctionCatalog:
     """All positive functions, ascending, labeled alphabetically."""
-    positives, _ = generate_functions(n, max_n)  # checks 1 <= n <= max_n; ascending
-    entries = tuple((function_id(i), tt) for i, tt in enumerate(positives))
+    _check_cap("chart", n, f"catalog or chart for n={n}")
+    positives = islice(iter_tables(n), 1 << n)  # the first 2^n tables, ascending
+    entries = tuple((function_id(i), TruthTable(n, t)) for i, t in enumerate(positives))
     return FunctionCatalog(n, entries)
 
 
-def build_chart(n: int, max_n: int = MAX_CHART_N) -> MappingChart:
+def build_chart(n: int) -> MappingChart:
     """Grid of function ids: rows are output states, columns input states."""
-    catalog = build_catalog(n, max_n)
+    catalog = build_catalog(n)  # checks the cap
     id_by_value = {tt.value: label for label, tt in catalog.entries}
     mask_id = [
         id_by_value[from_parity_form(ParityForm(n, int_to_bits(m, n), 0)).value]

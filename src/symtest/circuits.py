@@ -42,10 +42,10 @@ from itertools import groupby, islice, product
 import numpy as np
 
 from . import statevec
+from .bitops import _check_cap
 from .boolfunc import TruthTable, to_parity_form
 from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_columns, check_tolerance
 
-MAX_EQUIV_QUBITS = 12
 # Amplitudes per batch in assert_equivalent, 512 KB of float64 for each
 # circuit and 256 KB of float32 for a circuit simulated in float32: 16 input
 # columns at 12 wires and fewer at more, so its memory is bounded for any
@@ -371,12 +371,9 @@ def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:
     return [ket.index for ket in kets], [ket.sign for ket in kets]
 
 
-def simulate_circuit(
-    circ: Circuit, input: BasisKet, max_qubits: int = statevec.MAX_QUBITS
-) -> StateVector:
+def simulate_circuit(circ: Circuit, input: BasisKet) -> StateVector:
     """Apply the gates left to right to the input ket's vector."""
-    if circ.wires > max_qubits:
-        raise ValueError(f"circuit on {circ.wires} wires exceeds the cap of {max_qubits}")
+    _check_cap("qubits", circ.wires, f"circuit on {circ.wires} wires")
     index, sign = _columns([input], circ.wires)
     arr = np.empty((1 << circ.wires, 1))
     h = _simulate_batch(circ.gates, index, sign, arr)
@@ -393,11 +390,7 @@ def iter_basis_inputs(wires: int, last_bit: int | None = None) -> Iterator[Basis
 
 
 def assert_equivalent(
-    a: Circuit,
-    b: Circuit,
-    tol: float = 1e-9,
-    inputs: Iterable[BasisKet] | None = None,
-    max_qubits: int = MAX_EQUIV_QUBITS,
+    a: Circuit, b: Circuit, tol: float = 1e-9, inputs: Iterable[BasisKet] | None = None
 ) -> bool:
     """True iff both circuits produce the same vector on every given basis
     input (all of them by default).
@@ -409,8 +402,7 @@ def assert_equivalent(
     """
     if a.wires != b.wires:
         raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
-    if a.wires > max_qubits:
-        raise ValueError(f"equivalence check on {a.wires} wires exceeds the cap of {max_qubits}")
+    _check_cap("equiv", a.wires, f"equivalence check on {a.wires} wires")
     check_tolerance(tol)
     if inputs is None:
         inputs = iter_basis_inputs(a.wires)

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import boolfunc, charts, circuits, pipeline, statevec
-from .bitops import format_bits
+from .bitops import CAPS, format_bits
 from .boolfunc import FunctionClass, NotAdmissibleError, TruthTable
 from .oracle import QuantumOracle, format_matrix
 from .statevec import EntangledError, NotBasisStateError, StateVector
@@ -18,16 +18,7 @@ from .statevec import EntangledError, NotBasisStateError, StateVector
 
 def parse_function(text: str, n: int | None = None) -> TruthTable:
     """Decode a function argument, inferring n from the string when needed."""
-    if n is not None:
-        return boolfunc.hex_decode(text, n)
-    s = text.strip()
-    if s and all(c in "01" for c in s) and not (len(s) & (len(s) - 1)) and len(s) >= 2:
-        return TruthTable.from_string(s)
-    body = s[1:] if s.startswith("$") else s[2:] if s[:2].lower() == "0x" else s
-    bits = 4 * len(body)
-    if bits < 4 or bits & (bits - 1):
-        raise ValueError(f"cannot infer qubit count from {text!r}")
-    return boolfunc.hex_decode(text, bits.bit_length() - 1)
+    return boolfunc.hex_decode(text, n)
 
 
 def parse_fault(text: str, n: int) -> pipeline.Fault:
@@ -47,7 +38,7 @@ def parse_fault(text: str, n: int) -> pipeline.Fault:
 
 
 def _cmd_gen(args) -> int:
-    sys.stdout.writelines(boolfunc.function_lines(args.n, max_n=args.max_qubits))
+    sys.stdout.writelines(boolfunc.function_lines(args.n))
     return 0
 
 
@@ -163,11 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
 
     def max_qubits(p):
-        p.add_argument(
-            "--max-qubits", type=int, default=statevec.MAX_QUBITS, help="state-size cap override"
-        )
+        p.add_argument("--max-qubits", type=int, default=CAPS["qubits"], help="qubit cap override")
 
-    max_qubits(add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int}))
+    add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int})
     add("classify", _cmd_classify, "Positive, Negative, or NotAdmissible", function={})
     add("parity", _cmd_parity, "mask and complement of an admissible function", function={})
     p = add(

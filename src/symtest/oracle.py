@@ -9,10 +9,9 @@ as an O(2^n) index permutation and only materialized on request.
 
 import numpy as np
 
+from .bitops import _check_cap
 from .boolfunc import TruthTable
 from .statevec import StateVector
-
-MAX_MATRIX_QUBITS = 12
 
 
 class QuantumOracle:
@@ -35,12 +34,11 @@ class QuantumOracle:
             raise ValueError(f"vector has {v.k} qubits, oracle acts on {self.k}")
         return StateVector._own(v.amplitudes[self.permutation])  # the gather is a fresh copy
 
-    def matrix(self, max_qubits: int = MAX_MATRIX_QUBITS) -> np.ndarray:
-        """Materialize the 0/1 permutation matrix (display and tests only)."""
-        if self.k > max_qubits:
-            raise ValueError(f"matrix on {self.k} qubits exceeds the cap of {max_qubits}")
+    def matrix(self) -> np.ndarray:
+        """Materialize the 0/1 permutation matrix as uint8 (display and tests only)."""
+        _check_cap("matrix", self.k, f"matrix on {self.k} qubits")
         dim = 1 << self.k
-        m = np.zeros((dim, dim), dtype=int)
+        m = np.zeros((dim, dim), dtype=np.uint8)
         m[np.arange(dim), self.permutation] = 1
         return m
 

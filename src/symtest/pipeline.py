@@ -32,18 +32,17 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .bitops import int_to_bits
+from .bitops import CAPS, _check_cap, int_to_bits
 from .boolfunc import (
     ParityForm,
     TruthTable,
     from_parity_form,
-    generate_functions,
+    iter_tables,
     padded_hex,
     to_parity_form,
 )
 from .circuits import Gate, _batch_dtype, _scale, _simulate_batch, hadamard_layer
 from .statevec import (
-    MAX_QUBITS,
     BasisKet,
     NotBasisStateError,
     StateVector,
@@ -120,14 +119,13 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
 
 
 def _simulate(
-    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits: int = MAX_QUBITS, dtype=None
+    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits=CAPS["qubits"], dtype=None
 ) -> tuple[np.ndarray, int]:
     """Unnormalized output for a batch of signed basis inputs, column j starting
     as sign[j] * |index[j]>, and its H count; the batch is in `dtype`, by
     default the gate list's _batch_dtype."""
     k = f.n + 1
-    if k > max_qubits:
-        raise ValueError(f"pipeline on {k} qubits exceeds the cap of {max_qubits}")
+    _check_cap("qubits", k, f"pipeline on {k} qubits", max_qubits)
     gates = _gates(f, fault)
     arr = np.empty((1 << k, len(index)), dtype or _batch_dtype(gates))
     return arr, _simulate_batch(gates, index, sign, arr)
@@ -140,7 +138,7 @@ def _prediction(pf: ParityForm, index, sign):
     return index ^ (pf.mask_value << 1), sign * (-1 if pf.complement else 1)
 
 
-def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
+def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = CAPS["qubits"]) -> StateVector:
     """Final state vector of the faultless pipeline, in exact arithmetic."""
     _check_input(f, input)
     arr, h = _simulate(f, [input.index], [input.sign], max_qubits=max_qubits, dtype=np.float64)
@@ -148,7 +146,7 @@ def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = MAX_QUBITS) -> 
 
 
 def run(
-    f: TruthTable, input: BasisKet, tolerance: float = 1e-9, max_qubits: int = MAX_QUBITS
+    f: TruthTable, input: BasisKet, tolerance: float = 1e-9, max_qubits: int = CAPS["qubits"]
 ) -> PipelineResult:
     """Simulate the pipeline and read off the signed basis state.
 
@@ -186,10 +184,7 @@ def solve_function(input: BasisKet, desired: BasisKet) -> TruthTable:
 
 
 def success_probability(
-    f: TruthTable,
-    input: BasisKet,
-    fault: Fault | None = None,
-    max_qubits: int = MAX_QUBITS,
+    f: TruthTable, input: BasisKet, fault: Fault | None = None, max_qubits: int = CAPS["qubits"]
 ) -> float:
     """Squared overlap of the (possibly faulted) pipeline output with predict().
 
@@ -198,6 +193,8 @@ def success_probability(
     before the 2^-h scale of h butterflies is applied, so that scale stays
     an exact power of two even when a skipped Hadamard leaves h odd.
     """
+    # _simulate checks this cap too, but predict() builds f's parity table first.
+    _check_cap("qubits", f.n + 1, f"pipeline on {f.n + 1} qubits", max_qubits)
     target = predict(f, input).output
     arr, h = _simulate(f, [input.index], [input.sign], fault, max_qubits)
     overlap = float(arr[target.index, 0]) * target.sign
@@ -225,7 +222,7 @@ class VerifyReport:
         return "\n".join(self.failures + [self.summary()])
 
 
-def verify_all(n: int, max_n: int = 6) -> VerifyReport:
+def verify_all(n: int) -> VerifyReport:
     """Check run == predict for every admissible f and every signed basis input.
 
     Each f simulates all 2^(n+1) signed inputs as the columns of one
@@ -235,17 +232,18 @@ def verify_all(n: int, max_n: int = 6) -> VerifyReport:
     it per f let malloc shrink and regrow the heap each time in some heap
     layouts, and `verify 6` ran ~40 % slower.
     """
-    positives, negatives = generate_functions(n, max_n)  # checks 1 <= n <= max_n
+    _check_cap("verify", n, f"verify for n={n}")
+    tables = iter_tables(n)  # checks n >= 1
     index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
     sign = np.tile([1, -1], 1 << n)
     report = VerifyReport(n, 0)
-    # Every f has the gate list of positives[0] but for U's table, so its dtype.
-    arr = np.empty((2 << n, index.size), _batch_dtype(_gates(positives[0], None)))
+    # Every f has the gate list of the zero function but for U's table, so its dtype.
+    arr = np.empty((2 << n, index.size), _batch_dtype(_gates(TruthTable(n, bytes(1 << n)), None)))
 
     def ket(s, i) -> str:
         return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
 
-    for f in positives + negatives:
+    for f in (TruthTable(n, table) for table in tables):
         want_index, want_sign = _prediction(to_parity_form(f), index, sign)
         h = _simulate_batch(_gates(f, None), index, sign, arr)
         got_index, got_sign = read_basis_columns(_scale(arr, h))

@@ -1,15 +1,16 @@
 """Real-valued state vectors on k qubits.
 
-Every gate used here (Hadamard, X, CNOT, parity oracles) is real-valued,
-so amplitudes are stored as float64; complex phases are out of scope.
-Qubit 0 is the leftmost label in |x1, x2, ...> and the most significant
-bit of the amplitude index, matching the truth-table convention.
+Every gate used here (Hadamard, X, CNOT, parity oracles) is real-valued;
+complex phases are out of scope.  Qubit 0 is the leftmost label in
+|x1, x2, ...> and the most significant bit of the amplitude index,
+matching the truth-table convention.
 
-All operations are pure: inputs are never mutated and amplitude arrays
-are frozen, so values are safe to share across threads.  butterfly, the
-simulators' Hadamard kernel, works in place: blocked +-1 matrix products
-through per-call scratch in the array's dtype, exact on integer
-amplitudes below 2^24 in float32 (2^53 in float64).
+A StateVector holds frozen float64 amplitudes, safe to share across
+threads, and functions on it never mutate their inputs.  butterfly, the
+simulators' Hadamard kernel, works in place on a float32 or float64
+vector or batch: blocked +-1 matrix products through per-call scratch in
+the array's dtype, exact on integer amplitudes below 2^24 in float32
+(2^53 in float64).
 """
 
 import math
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bits_to_int, format_bits, int_to_bits, parse_bits
+from .bitops import _check_cap, bits_to_int, format_bits, int_to_bits, parse_bits
 
-MAX_QUBITS = 20
 # The unnormalized Hadamard on m wires is the +-1 matrix H^{(x)m}: a block
 # costs 2^m multiply-adds per amplitude but only one pass over memory.
 _BLOCK_WIRES = 4
@@ -131,9 +131,8 @@ def check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
 
 
-def ket_to_vector(ket: BasisKet, max_qubits: int = MAX_QUBITS) -> StateVector:
-    if ket.k > max_qubits:
-        raise ValueError(f"ket has {ket.k} qubits, cap is {max_qubits}")
+def ket_to_vector(ket: BasisKet) -> StateVector:
+    _check_cap("qubits", ket.k, f"ket on {ket.k} qubits")
     arr = np.zeros(1 << ket.k)
     arr[ket.index] = float(ket.sign)
     return StateVector._own(arr)

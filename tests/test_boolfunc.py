@@ -308,6 +308,9 @@ def test_hex_decode_errors():
         hex_decode("FFFFF", 2)  # 20 bits into a 4-bit table
     with pytest.raises(ValueError):
         hex_decode("$", 2)
+    for text in ("0_FF", "$0x00FF", "$+FF"):  # int(..., 16) takes each of these
+        with pytest.raises(ValueError, match="malformed function string"):
+            hex_decode(text, 4)
 
 
 # shift invariance

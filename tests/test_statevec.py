@@ -386,4 +386,4 @@ def test_vector_parse_round_trip():
 def test_ket_to_vector_cap():
     with pytest.raises(ValueError):
         ket_to_vector(BasisKet(1, (0,) * 21))
-    ket_to_vector(BasisKet(1, (0,) * 21), max_qubits=21)
+    assert ket_to_vector(BasisKet(1, (0,) * 20)).k == 20
