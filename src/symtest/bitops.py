@@ -46,9 +46,9 @@ CAPS = {
 }
 
 
-def _check_cap(cap: str, value: int, what: str, limit: int | None = None) -> None:
-    """Raise CapError if `value`, as `what` names it, is over CAPS[cap] or the caller's `limit`."""
-    limit = CAPS[cap] if limit is None else limit
+def _check_cap(cap: str, value: int, what: str) -> None:
+    """Raise CapError if `value`, as `what` names it, is over CAPS[cap]."""
+    limit = CAPS[cap]
     if value > limit and cap == "listing":  # a byte count, shown in MiB
         raise CapError(f"{what} is {value / (1 << 20):.1f} MiB, over the {limit >> 20} MiB cap")
     if value > limit:

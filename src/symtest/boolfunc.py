@@ -24,10 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bitops import CAPS, CapError, _check_cap, bits_to_int
-
-MAX_N = CAPS["n"]
-MAX_LISTING_BYTES = CAPS["listing"]
+from .bitops import _check_cap, bits_to_int
 
 # bytes.translate tables: complement 0/1 entries, and map them to and from text.
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -37,9 +34,6 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 class NotAdmissibleError(ValueError):
     """The truth table is not an affine parity function."""
-
-
-ListingTooLargeError = CapError  # what a listing over its cap raises, as every cap does
 
 
 class FunctionClass(Enum):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .bitops import _check_cap, format_bits, int_to_bits
-from .boolfunc import ParityForm, TruthTable, from_parity_form, iter_tables, padded_hex
+from .boolfunc import TruthTable, iter_tables, padded_hex, to_parity_form
 
 
 def function_id(i: int) -> str:
@@ -59,11 +59,9 @@ def build_catalog(n: int) -> FunctionCatalog:
 def build_chart(n: int) -> MappingChart:
     """Grid of function ids: rows are output states, columns input states."""
     catalog = build_catalog(n)  # checks the cap
-    id_by_value = {tt.value: label for label, tt in catalog.entries}
-    mask_id = [
-        id_by_value[from_parity_form(ParityForm(n, int_to_bits(m, n), 0)).value]
-        for m in range(1 << n)
-    ]
+    mask_id = [""] * (1 << n)
+    for label, tt in catalog.entries:
+        mask_id[to_parity_form(tt).mask_value] = label
     labels = tuple(format_bits(int_to_bits(i, n)) + "1" for i in range(1 << n))
     cells = tuple(
         tuple(mask_id[y ^ x] for x in range(1 << n)) for y in range(1 << n)

@@ -52,15 +52,8 @@ from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_colu
 # wire count.  At 12 wires, 4 columns ran 1.7x slower, and 32 no faster.
 _BATCH_AMPLITUDES = 1 << 16
 
-# The fill's +-1 table (-1)^|r & y| for r, y < 2^6, 4 KB of int8; its top-left
-# 2^m x 2^m block serves m <= 6 bits, and longer halves are built from it
-# per call.  A table for the 10-bit halves of 20 wires would hold 1 MB for
-# the life of the process and lift a first run at n = 19 past 1.25 states.
-_SYLVESTER_BITS = 6
-_SYLVESTER = np.ones((1, 1), np.int8)
-for _ in range(_SYLVESTER_BITS):
-    _SYLVESTER = np.kron(_SYLVESTER, np.array([[1, 1], [1, -1]], np.int8))
-_SYLVESTER.flags.writeable = False
+# (-1)^c for c = 0, 1; the fill takes it at a popcount c, wrapped mod 2.
+_SIGN = np.array([1, -1], np.int8)
 
 _GATE_ARITY = {"H": 1, "X": 1, "CNOT": 2, "U": 1, "R": 1}
 
@@ -215,8 +208,10 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     held = np.empty_like(chunks[0])
     rows = np.arange(1 << low)
     idx, bits = np.empty_like(rows), np.empty(len(rows), np.uint8)
-    # Shifted indices, which a lone X or U (the pipeline's U stage) does not need.
-    tmp = None if [g.name for g in gates] in (["X"], ["U"]) else np.empty_like(rows)
+    # Shifted indices, which a lone X does not need, nor a lone U (the
+    # pipeline's U stage) on chunks of more than one row.
+    names = [g.name for g in gates]
+    tmp = None if names == ["X"] or (names == ["U"] and low) else np.empty_like(rows)
 
     def splits(g: Gate) -> bool:
         return g.name == "CNOT" and k - 1 - g.qubits[1] >= low > k - 1 - g.qubits[0]
@@ -264,17 +259,12 @@ def _leading_hadamards(gates: Sequence[Gate]) -> list[int]:
 
 def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
     """The int8 (2^m, B) factor of the fill on m index bits: row r of column
-    j is (-1)^|r & x[j] & w| where r agrees with x[j] off the bits w, else 0.
-    Halves of more than _SYLVESTER_BITS bits are outer products of their own
-    halves."""
-    if m > _SYLVESTER_BITS:
-        lo, mask = m // 2, (1 << (m // 2)) - 1
-        high, low = _signs(x >> lo, w >> lo, m - lo), _signs(x & mask, w & mask, lo)
-        return (high[:, None] * low[None]).reshape(1 << m, -1)
-    out = _SYLVESTER[: 1 << m, x & w]
+    j is (-1)^|r & x[j] & w| where r agrees with x[j] off the bits w, else 0."""
+    r = np.arange(1 << m)[:, None]
+    out = _SIGN.take(np.bitwise_count(r & (x & w)), mode="wrap")
     off = ~w & ((1 << m) - 1)
     if off:
-        out *= (np.arange(1 << m)[:, None] & off) == (x & off)
+        out *= (r & off) == (x & off)
     return out
 
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import boolfunc, charts, circuits, pipeline, statevec
-from .bitops import CAPS, format_bits
+from .bitops import format_bits
 from .boolfunc import FunctionClass, NotAdmissibleError, TruthTable
 from .oracle import QuantumOracle, format_matrix
 from .statevec import EntangledError, NotBasisStateError, StateVector
@@ -21,7 +21,7 @@ def parse_function(text: str, n: int | None = None) -> TruthTable:
     return boolfunc.hex_decode(text, n)
 
 
-def parse_fault(text: str, n: int) -> pipeline.Fault:
+def parse_fault(text: str) -> pipeline.Fault:
     """Grammar: skip:<layer>:<qubit> | rotate:<layer>:<qubit>:<radians> | corrupt:<index>."""
     parts = text.split(":")
     kind = parts[0].lower()
@@ -58,10 +58,10 @@ def _cmd_simulate(args) -> int:
     state = statevec.parse_ket(args.state)
     f = parse_function(args.function, state.k - 1)
     if args.vector:
-        vec = pipeline.run_vector(f, state, max_qubits=args.max_qubits)
+        vec = pipeline.run_vector(f, state)
         print(statevec.format_vector(vec))
         return 0
-    result = pipeline.run(f, state, tolerance=args.tolerance, max_qubits=args.max_qubits)
+    result = pipeline.run(f, state, tolerance=args.tolerance)
     print(result.output)
     return 0
 
@@ -115,8 +115,8 @@ def _cmd_verify(args) -> int:
 def _cmd_fault(args) -> int:
     state = statevec.parse_ket(args.state)
     f = parse_function(args.function, state.k - 1)
-    fault = parse_fault(args.fault, f.n) if args.fault else None
-    p = pipeline.success_probability(f, state, fault, max_qubits=args.max_qubits)
+    fault = parse_fault(args.fault) if args.fault else None
+    p = pipeline.success_probability(f, state, fault)
     print(f"{p:.12g}")
     return 0
 
@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     def tolerance(p):
         p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
 
-    def max_qubits(p):
-        p.add_argument("--max-qubits", type=int, default=CAPS["qubits"], help="qubit cap override")
-
     add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int})
     add("classify", _cmd_classify, "Positive, Negative, or NotAdmissible", function={})
     add("parity", _cmd_parity, "mask and complement of an admissible function", function={})
@@ -170,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--vector", action="store_true", help="print the final state vector")
     tolerance(group)
-    max_qubits(p)
     add("predict", _cmd_predict, "analytic pipeline output (no simulation)", function={}, state={})
     add("solve", _cmd_solve, "function mapping one state to another", input={}, output={})
     p = add("catalog", _cmd_catalog, "positive-function catalog for n", n={"type": int})
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip:<layer>:<qubit> | rotate:<layer>:<qubit>:<radians> | corrupt:<index>",
     )
-    max_qubits(p)
     tolerance(add("factor", _cmd_factor, "split a product state into qubit factors", vector={}))
     add("matrix", _cmd_matrix, "print the oracle permutation matrix", function={})
     return parser

@@ -49,5 +49,8 @@ class QuantumOracle:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """Rows of 0/1 integers, space-separated."""
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in m)
+    """Rows of 0/1 integers, space-separated, written as one ASCII buffer."""
+    text = np.full((len(m), 2 * m.shape[1]), ord(" "), np.uint8)  # each digit, then a separator
+    np.add(m, ord("0"), out=text[:, ::2], casting="unsafe")
+    text[:, -1] = ord("\n")
+    return str(memoryview(text.reshape(-1)[:-1]), "ascii")

@@ -32,7 +32,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .bitops import CAPS, _check_cap, int_to_bits
+from .bitops import _check_cap, int_to_bits
 from .boolfunc import (
     ParityForm,
     TruthTable,
@@ -41,7 +41,15 @@ from .boolfunc import (
     padded_hex,
     to_parity_form,
 )
-from .circuits import Gate, _batch_dtype, _scale, _simulate_batch, hadamard_layer
+from .circuits import (
+    Circuit,
+    Gate,
+    _batch_dtype,
+    _scale,
+    _simulate_batch,
+    hadamard_layer,
+    simulate_circuit,
+)
 from .statevec import (
     BasisKet,
     NotBasisStateError,
@@ -118,16 +126,14 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
     return layers["first"] + (Gate("U", (f.n,), f),) + layers["second"]
 
 
-def _simulate(
-    f: TruthTable, index, sign, fault: Fault | None = None, max_qubits=CAPS["qubits"], dtype=None
-) -> tuple[np.ndarray, int]:
+def _simulate(f: TruthTable, index, sign, fault: Fault | None = None) -> tuple[np.ndarray, int]:
     """Unnormalized output for a batch of signed basis inputs, column j starting
-    as sign[j] * |index[j]>, and its H count; the batch is in `dtype`, by
-    default the gate list's _batch_dtype."""
+    as sign[j] * |index[j]>, and its H count; the batch is in the gate list's
+    _batch_dtype."""
     k = f.n + 1
-    _check_cap("qubits", k, f"pipeline on {k} qubits", max_qubits)
+    _check_cap("qubits", k, f"pipeline on {k} qubits")
     gates = _gates(f, fault)
-    arr = np.empty((1 << k, len(index)), dtype or _batch_dtype(gates))
+    arr = np.empty((1 << k, len(index)), _batch_dtype(gates))
     return arr, _simulate_batch(gates, index, sign, arr)
 
 
@@ -138,23 +144,21 @@ def _prediction(pf: ParityForm, index, sign):
     return index ^ (pf.mask_value << 1), sign * (-1 if pf.complement else 1)
 
 
-def run_vector(f: TruthTable, input: BasisKet, max_qubits: int = CAPS["qubits"]) -> StateVector:
+def run_vector(f: TruthTable, input: BasisKet) -> StateVector:
     """Final state vector of the faultless pipeline, in exact arithmetic."""
     _check_input(f, input)
-    arr, h = _simulate(f, [input.index], [input.sign], max_qubits=max_qubits, dtype=np.float64)
-    return StateVector._own(_scale(arr, h))
+    _check_cap("qubits", f.n + 1, f"pipeline on {f.n + 1} qubits")
+    return simulate_circuit(Circuit(f.n + 1, _gates(f, None)), input)
 
 
-def run(
-    f: TruthTable, input: BasisKet, tolerance: float = 1e-9, max_qubits: int = CAPS["qubits"]
-) -> PipelineResult:
+def run(f: TruthTable, input: BasisKet, tolerance: float = 1e-9) -> PipelineResult:
     """Simulate the pipeline and read off the signed basis state.
 
     Raises NotBasisStateError when the final vector is still a
     superposition, which happens exactly when f is not admissible.
     """
     _check_input(f, input)
-    arr = _scale(*_simulate(f, [input.index], [input.sign], max_qubits=max_qubits))
+    arr = _scale(*_simulate(f, [input.index], [input.sign]))
     index, sign = read_basis_columns(arr, tolerance)
     if not sign[0]:
         raise NotBasisStateError(
@@ -183,9 +187,7 @@ def solve_function(input: BasisKet, desired: BasisKet) -> TruthTable:
     return from_parity_form(ParityForm(input.k - 1, mask, complement))
 
 
-def success_probability(
-    f: TruthTable, input: BasisKet, fault: Fault | None = None, max_qubits: int = CAPS["qubits"]
-) -> float:
+def success_probability(f: TruthTable, input: BasisKet, fault: Fault | None = None) -> float:
     """Squared overlap of the (possibly faulted) pipeline output with predict().
 
     Exactly 1.0 when no fault is injected; anything less flags a loss of
@@ -194,9 +196,9 @@ def success_probability(
     an exact power of two even when a skipped Hadamard leaves h odd.
     """
     # _simulate checks this cap too, but predict() builds f's parity table first.
-    _check_cap("qubits", f.n + 1, f"pipeline on {f.n + 1} qubits", max_qubits)
+    _check_cap("qubits", f.n + 1, f"pipeline on {f.n + 1} qubits")
     target = predict(f, input).output
-    arr, h = _simulate(f, [input.index], [input.sign], fault, max_qubits)
+    arr, h = _simulate(f, [input.index], [input.sign], fault)
     overlap = float(arr[target.index, 0]) * target.sign
     return overlap * overlap * 2.0 ** -h
 

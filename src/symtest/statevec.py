@@ -33,6 +33,7 @@ for matrices in _HADAMARD.values():
 # 2^14 and 2^16 timed the same within noise on a float64 20-wire layer, a
 # (4096, 16) batch and verify 6.
 _CHUNK = 1 << 15
+_NORM_TOLERANCE = 1e-9
 
 
 class NotBasisStateError(ValueError):
@@ -86,8 +87,8 @@ class StateVector:
 
     __slots__ = ("k", "amplitudes")
 
-    def __init__(self, amplitudes, norm_tol: float = 1e-9):
-        self._freeze(np.array(amplitudes, dtype=float), norm_tol)
+    def __init__(self, amplitudes):
+        self._freeze(np.array(amplitudes, dtype=float))
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> "StateVector":
@@ -95,13 +96,13 @@ class StateVector:
         The array is frozen in place, so it must be one that no caller holds."""
         arr.flags.writeable = False  # and so every view of it
         v = cls.__new__(cls)
-        v._freeze(arr.reshape(-1), 1e-9)
+        v._freeze(arr.reshape(-1))
         return v
 
-    def _freeze(self, arr: np.ndarray, norm_tol: float) -> None:
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-        check_state_columns(arr[:, None], norm_tol)
+        check_state_columns(arr[:, None])
         arr.flags.writeable = False
         self.k = arr.size.bit_length() - 1
         self.amplitudes = arr
@@ -110,7 +111,7 @@ class StateVector:
         return f"StateVector(k={self.k}, {format_vector(self)})"
 
 
-def check_state_columns(arr: np.ndarray, norm_tol: float = 1e-9) -> None:
+def check_state_columns(arr: np.ndarray) -> None:
     """Raise ValueError unless every column of a (2^k, B) batch is a finite
     unit vector; the checks StateVector makes, one column at a time."""
     norms = np.sqrt(np.einsum("ij,ij->j", arr, arr, dtype=np.float64))
@@ -118,10 +119,10 @@ def check_state_columns(arr: np.ndarray, norm_tol: float = 1e-9) -> None:
         finite = np.isfinite(arr)
         if not finite.all():
             raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
-    bad = np.abs(norms - 1.0) > norm_tol
+    bad = np.abs(norms - 1.0) > _NORM_TOLERANCE
     if bad.any():
         norm = norms[bad][0]
-        raise ValueError(f"state vector norm {norm} differs from 1 by more than {norm_tol}")
+        raise ValueError(f"state vector norm {norm} differs from 1 by more than {_NORM_TOLERANCE}")
 
 
 def check_tolerance(tolerance: float) -> None:

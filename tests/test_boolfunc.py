@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hyp
 
+from symtest.bitops import CAPS, CapError
 from symtest.boolfunc import (
-    MAX_LISTING_BYTES,
-    MAX_N,
     FunctionClass,
-    ListingTooLargeError,
     NotAdmissibleError,
     ParityForm,
     TruthTable,
@@ -149,8 +147,8 @@ def test_listing_size_is_the_widest_line_on_every_line(n):
 
 def test_listing_cap_admits_n12_and_refuses_n13():
     assert listing_bytes(12) == 6366 << 13  # 49.7 MiB
-    assert listing_bytes(12) <= MAX_LISTING_BYTES < listing_bytes(13)
-    with pytest.raises(ListingTooLargeError, match=r"198\.7 MiB, over the 64 MiB cap"):
+    assert listing_bytes(12) <= CAPS["listing"] < listing_bytes(13)
+    with pytest.raises(CapError, match=r"198\.7 MiB, over the 64 MiB cap"):
         function_lines(13)  # before the first line is asked for
 
 
@@ -450,8 +448,8 @@ def test_representation_properties(args):
 
 
 def test_max_n_round_trip():
-    """hex -> classify -> parity form -> hex at the default cap, n = MAX_N."""
-    n = MAX_N
+    """hex -> classify -> parity form -> hex at the default cap, n = CAPS["n"]."""
+    n = CAPS["n"]
     mask = 0xA5C3F
     pf = ParityForm(n, tuple((mask >> (n - 1 - i)) & 1 for i in range(n)), 1)
     text = padded_hex(from_parity_form(pf))

@@ -372,17 +372,14 @@ def test_h_runs_are_one_butterfly_call_per_wire_range():
 def test_fill_matches_one_hot_butterflies_bit_for_bit(data):
     # The leading run, empty, partial or full and in any wire order, against
     # a one-hot batch put through the butterfly one wire at a time: the
-    # same bytes, so no -0.0 where the butterfly leaves +0.0.  A table of
-    # fewer bits makes halves of up to 10 bits split as they do at 20 wires.
+    # same bytes, so no -0.0 where the butterfly leaves +0.0.
     k = data.draw(hyp.integers(1, 10))
-    table_bits = data.draw(hyp.sampled_from([1, 2, 6]))
     width = data.draw(hyp.integers(1, 17))
     index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
     sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
     wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(0, k))]
     arr = np.empty((1 << k, width))
-    with mock.patch.object(circuits, "_SYLVESTER_BITS", table_bits):
-        assert _simulate_batch(tuple(H(q) for q in wires), index, sign, arr) == len(wires)
+    assert _simulate_batch(tuple(H(q) for q in wires), index, sign, arr) == len(wires)
     want = np.zeros((1 << k, width))
     want[index, np.arange(width)] = sign
     for q in wires:
@@ -572,6 +569,16 @@ def test_permutation_runs_match_dense_permutations(data):
     with mock.patch.object(statevec, "_CHUNK", chunk):
         circuits._permute(arr, gates)
     assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("table", [(0, 0), (0, 1), (1, 1)])
+def test_lone_u_in_one_row_chunks(table):
+    # A chunk of one row cannot take the U stage's row-pair shortcut.
+    f = TruthTable(1, table)
+    arr = np.arange(4.0)[:, None]
+    with mock.patch.object(statevec, "_CHUNK", 4):
+        circuits._permute(arr, [Gate("U", (1,), f)])
+    assert np.array_equal(arr[:, 0], np.arange(4.0)[QuantumOracle(f).permutation])
 
 
 @pytest.mark.parametrize("gates", [(X(0), CNOT(1, 19), X(5)), (CNOT(7, 0),)])

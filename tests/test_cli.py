@@ -199,6 +199,8 @@ def test_fault_non_finite_angle(capsys, angle):
         ("gen", "2", "--tolerance", "0.1"),
         ("factor", "(1 -1)/sqrt(2)", "--max-qubits", "4"),
         ("gen", "2", "--max-qubits", "1"),
+        ("simulate", "0011", "+001", "--max-qubits", "2"),
+        ("fault", "0011", "+001", "--max-qubits", "2"),
     ],
 )
 def test_unread_flags_are_usage_errors(capsys, argv):
@@ -217,8 +219,6 @@ def test_simulate_vector_reads_no_tolerance(capsys, tolerance):
 
 def test_flags_where_they_are_read(capsys):
     assert run_cli(capsys, "simulate", "0011", "+001", "--tolerance", "1e-6")[:2] == (0, "+101\n")
-    assert run_cli(capsys, "simulate", "0011", "+001", "--max-qubits", "2")[0] == 1
-    assert run_cli(capsys, "fault", "0011", "+001", "--max-qubits", "2")[0] == 1
     assert run_cli(capsys, "equiv", "0011", "--tolerance", "1e-6")[0] == 0
     assert run_cli(capsys, "factor", "(1 -1)/sqrt(2)", "--tolerance", "1e-6")[0] == 0
 
@@ -323,9 +323,9 @@ def test_parse_function_inference():
 
 
 def test_parse_fault_grammar():
-    assert parse_fault("skip:first:0", 2) == SkipHadamard("first", 0)
-    assert parse_fault("rotate:second:1:0.5", 2) == RotateQubit("second", 1, 0.5)
-    assert parse_fault("corrupt:3", 2) == CorruptOracleEntry(3)
+    assert parse_fault("skip:first:0") == SkipHadamard("first", 0)
+    assert parse_fault("rotate:second:1:0.5") == RotateQubit("second", 1, 0.5)
+    assert parse_fault("corrupt:3") == CorruptOracleEntry(3)
     for bad in ("skip:first", "rotate:first:1", "corrupt:x", "skip:first:one", "nope"):
         with pytest.raises(ValueError):
-            parse_fault(bad, 2)
+            parse_fault(bad)

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 from symtest.boolfunc import ParityForm, TruthTable, from_parity_form
 from symtest.oracle import QuantumOracle, format_matrix
@@ -130,3 +131,12 @@ def test_matrix_size_cap():
 def test_format_matrix():
     text = format_matrix(QuantumOracle(TruthTable(1, (0, 1))).matrix())
     assert text == "1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_format_matrix_equals_per_entry_join(data):
+    n = data.draw(hyp.integers(1, 4))
+    table = data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    m = QuantumOracle(TruthTable(n, table)).matrix()
+    assert format_matrix(m) == "\n".join(" ".join(str(int(x)) for x in row) for row in m)
