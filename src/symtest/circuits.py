@@ -19,11 +19,13 @@ circuits and the pipeline alike.  It works on a (2^k, B) array whose
 columns are basis inputs.  The fill writes the leading run of H gates on
 distinct wires in closed form, H^(x)W on a signed basis state, as one
 outer product of two small +-1/0 factors (a one-hot scatter when there is
-no such run).  After it, a run of H gates on distinct wires is one
-butterfly call per contiguous wire range (blocked +-1 matrix products,
-exact on integer amplitudes below 2^24 in float32), a run of X, CNOT and
-U gates is one permutation of the array's rows, gathered in place a chunk
-at a time (pure copies, so exact), R is a 2 x 2 block product, and the
+no such run), and a U right after a run that covers its ancilla as the
+phase (-1)^(f(t) a) on rows 2t, 2t+1, a the column's ancilla bit (phase
+kickback).  After it, a run of H gates on distinct wires is one butterfly
+call per contiguous wire range (blocked +-1 matrix products, exact on
+integer amplitudes below 2^24 in float32), a run of X, CNOT and U gates
+is one permutation of the array's rows, gathered in place a chunk at a
+time (pure copies, so exact), R is a 2 x 2 block product, and the
 Hadamard scale is applied once at the end, so a circuit with an even
 number of H gates is simulated exactly.  Batches that are read out are
 float32 when _batch_dtype allows, else float64; simulate_circuit, the
@@ -268,7 +270,7 @@ def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
     return out
 
 
-def _fill(arr: np.ndarray, index, sign, wires: list[int]) -> int:
+def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None = None) -> int:
     """Fill the C-contiguous (2^k, B) array `arr` with the unnormalized
     columns H^(x)W sign[j] |index[j]>, W the distinct `wires`, and return
     the number of H gates, len(W).
@@ -278,6 +280,12 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int]) -> int:
     over the high and low halves of r, so the batch is one outer product
     of two int8 factors written in one pass; the integer zeros cast to +0.0,
     as the butterfly leaves them.  With no wires it is the one-hot scatter.
+
+    With `u`, the table of a U gate right after the run, W holds the
+    ancilla, so row 2t + b has the factor (-1)^(a b), a the column's
+    ancilla bit, and U's swap of the pairs where u(t) = 1 is the phase
+    (-1)^(u(t) a) on both rows (phase kickback), put on the int8 product
+    a chunk of high rows at a time, before the cast: U moves no rows.
     """
     if not wires:
         arr.fill(0.0)
@@ -289,7 +297,24 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int]) -> int:
     lo, mask = k // 2, (1 << (k // 2)) - 1
     high, low = _signs(x >> lo, w >> lo, k - lo), _signs(x & mask, w & mask, lo)
     high *= np.asarray(sign, dtype=np.int8)
-    np.multiply(high[:, None], low[None], out=arr.reshape(len(high), len(low), -1))
+    out = arr.reshape(len(high), len(low), len(x))
+    step = max(1, statevec._CHUNK // low.size)  # high rows per chunk
+    if u is not None:
+        # A uint16 of `rows` is 0xFFFF on both rows 2t, 2t+1 where u(t) = 1; the
+        # ancilla bits mask that to m = 0 or -1 in int8, and (v ^ m) - m = -v where m = -1.
+        table = np.frombuffer(u.table, np.uint8).reshape(len(high), -1)
+        ancilla = np.where(x & 1, -1, 0).astype(np.int8)
+        rows = np.empty((min(step, len(high)), len(low) // 2), np.uint16)
+        m, phase = (np.empty((len(rows), len(low), len(x)), np.int8) for _ in range(2))
+    for h in range(0, len(high), step):
+        p = high[h : h + step, None]
+        if u is not None:
+            c = len(p)
+            np.multiply(table[h : h + c], np.uint16(0xFFFF), out=rows[:c])
+            np.bitwise_and(rows[:c].view(np.int8)[..., None], ancilla, out=m[:c])
+            p = np.bitwise_xor(m[:c], p, out=phase[:c])
+            np.subtract(p, m[:c], out=p)
+        np.multiply(p, low, out=out[h : h + step])
     return len(wires)
 
 
@@ -335,11 +360,14 @@ def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
     C-contiguous (2^k, B) array `arr`, in place, and return the number h of
     H gates applied; _scale then normalizes the batch.
 
-    The leading run of H gates on distinct wires is the fill's, in closed
-    form; the gates after it are applied to the filled batch.
+    The fill takes the leading run of H gates on distinct wires, and a U
+    right after it if the run covers U's ancilla; the rest acts on its batch.
     """
     lead = _leading_hadamards(gates)
-    return _fill(arr, index, sign, lead) + _apply_gates(gates[len(lead) :], arr)
+    rest = gates[len(lead) :]
+    kick = bool(rest) and rest[0].name == "U" and rest[0].qubits[0] in lead
+    h = _fill(arr, index, sign, lead, rest[0].arg if kick else None)
+    return h + _apply_gates(rest[kick:], arr)
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 from . import boolfunc, charts, circuits, pipeline, statevec
 from .bitops import format_bits
 from .boolfunc import FunctionClass, NotAdmissibleError, TruthTable
-from .oracle import QuantumOracle, format_matrix
+from .oracle import QuantumOracle, matrix_lines
 from .statevec import EntangledError, NotBasisStateError, StateVector
 
 
@@ -131,7 +131,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_matrix(args) -> int:
     m = QuantumOracle(parse_function(args.function)).matrix()
-    print(format_matrix(m))
+    sys.stdout.writelines(matrix_lines(m))  # a block of rows at a time, never the whole text
     return 0
 
 

@@ -3,9 +3,12 @@
 U_f maps |x, k> to |x, k XOR f(x)>: the last qubit is the ancilla that
 stores the function value.  On amplitude vectors this is a permutation
 that swaps the pair (2t, 2t+1) exactly where f(t) = 1, i.e. a
-block-diagonal matrix of 2x2 identity and swap blocks, so it is applied
-as an O(2^n) index permutation and only materialized on request.
+block-diagonal matrix of 2x2 identity and swap blocks.  The oracle holds
+only f's byte table: apply swaps the pairs of a vector's (2^n, 2) view,
+and the index permutation and the 0/1 matrix are derived on request.
 """
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -17,22 +20,23 @@ from .statevec import StateVector
 class QuantumOracle:
     """Amplitude-pair permutation for a truth table, ancilla on the last wire."""
 
-    __slots__ = ("function", "k", "permutation")
+    __slots__ = ("function", "k")
 
     def __init__(self, function: TruthTable):
         self.function = function
         self.k = function.n + 1
-        perm = np.arange(1 << self.k)
-        ones = 2 * np.flatnonzero(np.frombuffer(function.table, np.uint8))
-        perm[ones], perm[ones + 1] = ones + 1, ones
-        perm.flags.writeable = False
-        self.permutation = perm
+
+    @property
+    def permutation(self) -> np.ndarray:
+        """Row i of U_f's output is amplitude i ^ f(i >> 1) of its input."""
+        return np.arange(1 << self.k) ^ np.repeat(np.frombuffer(self.function.table, np.uint8), 2)
 
     def apply(self, v: StateVector) -> StateVector:
         """Swap amplitude pairs (2t, 2t+1) wherever f(t) = 1."""
         if v.k != self.k:
             raise ValueError(f"vector has {v.k} qubits, oracle acts on {self.k}")
-        return StateVector._own(v.amplitudes[self.permutation])  # the gather is a fresh copy
+        pairs, swap = v.amplitudes.reshape(-1, 2), np.frombuffer(self.function.table, bool)
+        return StateVector._own(np.where(swap[:, None], pairs[:, ::-1], pairs).reshape(-1))
 
     def matrix(self) -> np.ndarray:
         """Materialize the 0/1 permutation matrix as uint8 (display and tests only)."""
@@ -48,9 +52,18 @@ class QuantumOracle:
         return bool(np.array_equal(p[p], np.arange(p.size)))
 
 
-def format_matrix(m: np.ndarray) -> str:
-    """Rows of 0/1 integers, space-separated, written as one ASCII buffer."""
-    text = np.full((len(m), 2 * m.shape[1]), ord(" "), np.uint8)  # each digit, then a separator
-    np.add(m, ord("0"), out=text[:, ::2], casting="unsafe")
+def matrix_lines(m: np.ndarray) -> Iterator[str]:
+    """Rows of 0/1 integers, space-separated, each ending in a newline: a
+    block of rows at a time, through one reused buffer of about 1 MiB."""
+    rows = max(1, (1 << 20) // (2 * m.shape[1]))
+    text = np.full((min(rows, len(m)), 2 * m.shape[1]), ord(" "), np.uint8)  # digit, separator
     text[:, -1] = ord("\n")
-    return str(memoryview(text.reshape(-1)[:-1]), "ascii")
+    for i in range(0, len(m), rows):
+        block = text[: len(m) - i]
+        np.add(m[i : i + rows], ord("0"), out=block[:, ::2], casting="unsafe")
+        yield str(memoryview(block.reshape(-1)), "ascii")
+
+
+def format_matrix(m: np.ndarray) -> str:
+    """Rows of 0/1 integers, space-separated, one row per line."""
+    return "".join(matrix_lines(m))[:-1]

@@ -19,12 +19,14 @@ batch whose columns are input states, so verify_all sends all signed
 inputs of one f through in one pass, while run() and friends pass a
 single column.  Simulation is exact for the unfaulted pipeline: the
 first H layer is filled in closed form, each input's +-1 Hadamard row,
-without reading f; the second is one butterfly call, +-1 matrix
-products on integer amplitudes whose partial sums never exceed
-2^k <= 2^20; U is a row gather that moves amplitudes without arithmetic;
-and the 2k Hadamards leave a power-of-two scale that is divided out at
-the end.  Batches are float32, exact below 2^24, unless a rotation fault
-adds an R stage (circuits._batch_dtype); run_vector returns float64.
+with U as the phase (-1)^f(t) on row pairs read from f's table, not its
+parity form (phase kickback; a row gather after a first-layer rotation
+or with the ancilla's H skipped); the second layer is one butterfly
+call, +-1 matrix products on integer amplitudes whose partial sums never
+exceed 2^k <= 2^20; and the 2k Hadamards leave a power-of-two scale that
+is divided out at the end.  Batches are float32, exact below 2^24,
+unless a rotation fault adds an R stage (circuits._batch_dtype);
+run_vector returns float64.
 """
 
 from dataclasses import dataclass, field

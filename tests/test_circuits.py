@@ -389,6 +389,52 @@ def test_fill_matches_one_hot_butterflies_bit_for_bit(data):
     assert np.allclose(arr, dense[:, index] * sign, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=80, deadline=None)
+@given(hyp.data())
+def test_kickback_fill_is_the_fill_then_the_u_gather_bit_for_bit(data):
+    # A U right after a leading run that covers the ancilla is a phase the
+    # fill applies: the same bytes as the fill followed by U's row gather,
+    # signed zeros included, at any chunk size, table and ancilla bits.
+    k = data.draw(hyp.integers(2, 10))
+    width = data.draw(hyp.integers(1, 17))
+    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
+    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
+    others = data.draw(hyp.permutations(range(k - 1)))
+    lead = others[: data.draw(hyp.integers(0, k - 1))]
+    lead.insert(data.draw(hyp.integers(0, len(lead))), k - 1)
+    n = k - 1
+    if data.draw(hyp.booleans()):
+        mask = data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n))
+        f = from_parity_form(ParityForm(n, tuple(mask), data.draw(hyp.integers(0, 1))))
+    else:
+        table = hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)
+        f = TruthTable(n, data.draw(table))
+    u = Gate("U", (n,), f)
+    dtype, view = data.draw(hyp.sampled_from([(np.float32, np.uint32), (np.float64, np.uint64)]))
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
+    want, got = np.empty((1 << k, width), dtype), np.empty((1 << k, width), dtype)
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        assert circuits._fill(want, index, sign, lead) == len(lead)
+        circuits._permute(want, [u])
+        with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
+            assert _simulate_batch(tuple(H(q) for q in lead) + (u,), index, sign, got) == len(lead)
+    assert spy.call_count == 0
+    assert np.array_equal(got.view(view), want.view(view))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_pipeline_fill_and_u_match_the_oracle_on_a_hadamard_state(data):
+    # Against the independent reference: QuantumOracle on hadamard_all of the ket.
+    n = data.draw(hyp.integers(1, 8))
+    f = TruthTable(n, data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+    ket = data.draw(kets_on(n + 1))
+    arr = np.empty((2 << n, 1))
+    h = _simulate_batch(hadamard_layer(n + 1) + (Gate("U", (n,), f),), [ket.index], [ket.sign], arr)
+    want = QuantumOracle(f).apply(hadamard_all(ket_to_vector(ket))).amplitudes
+    assert np.allclose(_scale(arr, h)[:, 0], want, rtol=0, atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(hyp.data())
 def test_r_stage_matches_dense_rotation(data):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from symtest import pipeline
+from symtest import circuits, pipeline
 from symtest.bitops import int_to_bits
 from symtest.boolfunc import (
     NotAdmissibleError,
@@ -428,9 +428,9 @@ def test_run_memory_at_19_qubits():
 
 
 def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
-    # The state is 8.4 MB; H and R work through a 256 KB scratch, U moves
-    # rows through chunk-sized buffers, and the readout reads a chunk of rows
-    # at a time.
+    # The state is 8.4 MB; H and R work through a 256 KB scratch, U is the
+    # fill's phase on a chunk of rows at a time (a chunked row gather after a
+    # first-layer rotation), and the readout reads a chunk of rows at a time.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 0))
@@ -454,8 +454,9 @@ def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
     [None, SkipHadamard("first", 3), RotateQubit("second", 7, 0.3), CorruptOracleEntry(5)],
 )
 def test_run_peak_memory_is_within_1_25_states_at_19_qubits(fault):
-    # U is one row gather through buffers of at most 2^15 rows, so the
-    # state itself is nearly all of the peak, with every fault kind.
+    # U, the fill's phase or a row gather, works through buffers of at most
+    # one chunk, so the state itself is nearly all of the peak, with every
+    # fault kind.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
@@ -518,12 +519,54 @@ def test_first_run_in_a_fresh_process_is_within_1_25_states():
     assert int(peak) <= 1.25 * state, peak
 
 
+def _gather_batch(gates, index, sign, arr):
+    """The kernel with U always a row gather: the fill of the leading H
+    run, then every later gate through _apply_gates."""
+    lead = circuits._leading_hadamards(gates)
+    return circuits._fill(arr, index, sign, lead) + circuits._apply_gates(gates[len(lead) :], arr)
+
+
+@pytest.mark.parametrize(
+    "fault, gathers",
+    [
+        (None, 0),
+        (SkipHadamard("second", 2), 0),
+        (SkipHadamard("first", 1), 0),
+        (CorruptOracleEntry(3), 0),
+        (RotateQubit("second", 0, 0.4), 0),
+        (RotateQubit("first", 2, 0.4), 1),
+        (SkipHadamard("first", 4), 1),
+    ],
+)
+def test_u_is_a_row_gather_only_where_the_fill_cannot_apply_it(fault, gathers):
+    # With the ancilla's H in the fill, U is the fill's phase and makes no
+    # _permute call; a first-layer rotation, or the ancilla's H skipped,
+    # leaves U a row gather.  Either way the batch of every signed input
+    # has the bytes of the fill-then-gather kernel.
+    n = 4
+    f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
+    ket = BasisKet(-1, (0, 1, 1, 0, 1))
+    with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
+        if fault is None:
+            assert run(f, ket) == predict(f, ket)
+        else:
+            success_probability(f, ket, fault)
+    assert spy.call_count == gathers
+    index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
+    sign = np.tile([1, -1], 1 << n)
+    arr, h = pipeline._simulate(f, index, sign, fault)
+    want = np.empty_like(arr)
+    assert _gather_batch(pipeline._gates(f, fault), index, sign, want) == h
+    assert np.array_equal(arr.view(np.uint8), want.view(np.uint8))
+
+
 @pytest.mark.parametrize(
     "fault", [None, SkipHadamard("first", 3), SkipHadamard("second", 19), CorruptOracleEntry(5)]
 )
 def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
     # The batch is float32, half a float64 state; the corrupt fault adds its
-    # 0.5 MB table, and the kernel's chunk scratch the rest.
+    # 0.5 MB table, and the chunk buffers of the fill, which applies U's
+    # phase, and of the later stages the rest.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
