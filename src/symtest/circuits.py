@@ -23,12 +23,12 @@ no such run), and a U right after a run that covers its ancilla as the
 phase (-1)^(f(t) a) on rows 2t, 2t+1, a the column's ancilla bit (phase
 kickback).  After it, a run of H gates on distinct wires is one butterfly
 call per contiguous wire range (blocked +-1 matrix products, exact on
-integer amplitudes below 2^24 in float32), a run of X, CNOT and U gates
-is one permutation of the array's rows, gathered in place a chunk at a
-time (pure copies, so exact), R is a 2 x 2 block product, and the
-Hadamard scale is applied once at the end, so a circuit with an even
-number of H gates is simulated exactly.  Batches that are read out are
-float32 when _batch_dtype allows, else float64; simulate_circuit, the
+integer amplitudes below 2^24 in float32), a run of X and CNOT gates,
+or a U alone, is one permutation of the array's rows, gathered in place
+a chunk at a time (pure copies, so exact), R is a 2 x 2 block product,
+and the Hadamard scale is applied once at the end, so a circuit with an
+even number of H gates is simulated exactly.  Batches that are read out
+are float32 when _batch_dtype allows, else float64; simulate_circuit, the
 one-column case, keeps float64.  assert_equivalent reads its inputs in
 chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated into
 reused buffers, so its memory stays bounded however many inputs it checks.
@@ -166,10 +166,11 @@ def _hadamards(arr: np.ndarray, wires: list[int]) -> int:
 
 
 def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
-    """Map the consecutive rows in `idx` in place to their preimages under a
-    run of X, CNOT and U gates on k wires: each gate is its own inverse, so
-    the run is undone from its end.  `tmp` and `bits` are scratch."""
-    for i, g in enumerate(reversed(gates)):
+    """Map the consecutive rows in `idx`, an even number of them, in place to
+    their preimages under a run of X and CNOT gates, or under one U gate, on
+    k wires: each gate is its own inverse, so the run is undone from its
+    end.  `tmp` and `bits` are scratch."""
+    for g in reversed(gates):
         pos = [k - 1 - q for q in g.qubits]  # wire 0 is the most significant bit
         if g.name == "X":  # x ^= bit(q)
             np.bitwise_xor(idx, 1 << pos[0], out=idx)
@@ -178,42 +179,32 @@ def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
             np.bitwise_and(tmp, 1, out=tmp)
             np.left_shift(tmp, pos[1], out=tmp)
             np.bitwise_xor(idx, tmp, out=idx)
-        else:  # U: the ancilla, bit 0, ^= f(x >> 1)
-            table = np.frombuffer(g.arg.table, np.uint8)
-            if i == 0 and len(idx) > 1:
-                # Still consecutive rows: one uint16 of `bits` holds f(t) for rows 2t and 2t+1.
-                start = int(idx[0]) >> 1
-                pairs = table[start : start + len(idx) // 2]
-                np.multiply(pairs, np.uint16(0x101), out=bits.view(np.uint16))
-            else:
-                np.right_shift(idx, 1, out=tmp)
-                np.take(table, tmp, out=bits, mode="clip")
+        else:  # U: the ancilla, bit 0, ^= f(x >> 1), a uint16 of `bits` per row pair 2t, 2t+1
+            start = int(idx[0]) >> 1
+            pairs = np.frombuffer(g.arg.table, np.uint8)[start : start + len(idx) // 2]
+            np.multiply(pairs, np.uint16(0x101), out=bits.view(np.uint16))
             np.bitwise_xor(idx, bits, out=idx)
 
 
 def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
-    """Apply a run of X, CNOT and U gates to the rows of the C-contiguous
-    (2^k, B) array `arr` in place, as one row gather: row i of the result is
-    row sigma^-1(i), sigma the run's permutation of basis states.
+    """Apply a run of X and CNOT gates, or one U gate, to the rows of the
+    C-contiguous (2^k, B) array `arr` in place, as one row gather: row i of
+    the result is row sigma^-1(i), sigma the run's permutation of basis states.
 
-    Rows move in chunks of at most _CHUNK amplitudes and _CHUNK / 4 rows (or
-    one row), through buffers allocated once per call: a row also takes up
-    to 25 bytes of index scratch.  sigma changes only target bits, so a
-    chunk draws its rows from one source chunk, and chunks move along the
-    cycles of that map with one chunk held aside.  A CNOT with its target
-    above the chunk and its control inside breaks that rule; it is applied
-    alone, as a masked exchange of chunk pairs through the held chunk.
+    Rows move in chunks of at most _CHUNK amplitudes and _CHUNK / 4 rows,
+    but at least two rows, through buffers allocated once per call: a row
+    also takes up to 25 bytes of index scratch.  sigma changes only target
+    bits, so a chunk draws its rows from one source chunk, and chunks move
+    along the cycles of that map with one chunk held aside.  A CNOT with its
+    target above the chunk and its control inside breaks that rule; it is
+    applied alone, as a masked exchange of chunk pairs through the held chunk.
     """
     k = len(arr).bit_length() - 1
-    low = min(k, max(1, statevec._CHUNK // max(4, arr.shape[1])).bit_length() - 1)  # row bits in a chunk
+    low = min(k, max(2, statevec._CHUNK // max(4, arr.shape[1])).bit_length() - 1)  # row bits in a chunk
     chunks = arr.reshape(-1, 1 << low, arr.shape[1])
     held = np.empty_like(chunks[0])
     rows = np.arange(1 << low)
-    idx, bits = np.empty_like(rows), np.empty(len(rows), np.uint8)
-    # Shifted indices, which a lone X does not need, nor a lone U (the
-    # pipeline's U stage) on chunks of more than one row.
-    names = [g.name for g in gates]
-    tmp = None if names == ["X"] or (names == ["U"] and low) else np.empty_like(rows)
+    idx, tmp, bits = np.empty_like(rows), np.empty_like(rows), np.empty(len(rows), np.uint8)
 
     def splits(g: Gate) -> bool:
         return g.name == "CNOT" and k - 1 - g.qubits[1] >= low > k - 1 - g.qubits[0]
@@ -323,13 +314,16 @@ def _apply_gates(gates: Iterable[Gate], arr: np.ndarray) -> int:
     return the number h of H gates applied.
 
     A run of H gates on distinct wires is applied when any other gate or a
-    repeated wire ends it; a run of X, CNOT and U gates is one row
-    permutation, and R mixes the two halves of its wire.
+    repeated wire ends it; a run of X and CNOT gates is one row permutation,
+    and so is each U on its own; R mixes the two halves of its wire.
     """
     h = 0
-    for kind, run in groupby(gates, lambda g: "P" if g.name in ("X", "CNOT", "U") else g.name):
+    for kind, run in groupby(gates, lambda g: "P" if g.name in ("X", "CNOT") else g.name):
         if kind == "P":
             _permute(arr, list(run))
+        elif kind == "U":
+            for g in run:
+                _permute(arr, [g])
         elif kind == "R":
             for g in run:
                 c, s = math.cos(g.arg), math.sin(g.arg)

@@ -61,8 +61,7 @@ def _cmd_simulate(args) -> int:
         vec = pipeline.run_vector(f, state)
         print(statevec.format_vector(vec))
         return 0
-    result = pipeline.run(f, state, tolerance=args.tolerance)
-    print(result.output)
+    print(pipeline.run(f, state).output)
     return 0
 
 
@@ -94,10 +93,7 @@ def _cmd_equiv(args) -> int:
     wired = circuits.pipeline_as_circuit(f)
     compiled = circuits.compile_equivalent(f)
     ok = circuits.assert_equivalent(
-        wired,
-        compiled,
-        tol=args.tolerance,
-        inputs=circuits.iter_basis_inputs(wired.wires, last_bit=1),
+        wired, compiled, inputs=circuits.iter_basis_inputs(wired.wires, last_bit=1)
     )
     print(wired)
     print("--")
@@ -150,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     # Each flag goes only on the subcommands that read it.
-    def tolerance(p):
-        p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
-
     add("gen", _cmd_gen, "list all admissible functions for n", n={"type": int})
     add("classify", _cmd_classify, "Positive, Negative, or NotAdmissible", function={})
     add("parity", _cmd_parity, "mask and complement of an admissible function", function={})
@@ -163,10 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         function={},
         state={},
     )
-    # --vector prints the vector without reading it out, so no tolerance applies.
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--vector", action="store_true", help="print the final state vector")
-    tolerance(group)
+    p.add_argument("--vector", action="store_true", help="print the final state vector")
     add("predict", _cmd_predict, "analytic pipeline output (no simulation)", function={}, state={})
     add("solve", _cmd_solve, "function mapping one state to another", input={}, output={})
     p = add("catalog", _cmd_catalog, "positive-function catalog for n", n={"type": int})
@@ -174,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chart", _cmd_chart, "input/output mapping chart for n", n={"type": int})
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--signed", action="store_true", help="annotate negative counterparts")
-    tolerance(add("equiv", _cmd_equiv, "check wiring vs compiled equivalent", function={}))
+    add("equiv", _cmd_equiv, "check wiring vs compiled equivalent", function={})
     add("verify", _cmd_verify, "exhaustive run-vs-predict sweep for n", n={"type": int})
     p = add(
         "fault",
@@ -189,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip:<layer>:<qubit> | rotate:<layer>:<qubit>:<radians> | corrupt:<index>",
     )
-    tolerance(add("factor", _cmd_factor, "split a product state into qubit factors", vector={}))
+    p = add("factor", _cmd_factor, "split a product state into qubit factors", vector={})
+    p.add_argument("--tolerance", type=float, default=1e-9, help="numeric tolerance")
     add("matrix", _cmd_matrix, "print the oracle permutation matrix", function={})
     return parser
 

@@ -153,15 +153,17 @@ def run_vector(f: TruthTable, input: BasisKet) -> StateVector:
     return simulate_circuit(Circuit(f.n + 1, _gates(f, None)), input)
 
 
-def run(f: TruthTable, input: BasisKet, tolerance: float = 1e-9) -> PipelineResult:
-    """Simulate the pipeline and read off the signed basis state.
+def run(f: TruthTable, input: BasisKet) -> PipelineResult:
+    """Simulate the pipeline and read off the signed basis state, at
+    read_basis_columns' fixed 1e-9.
 
     Raises NotBasisStateError when the final vector is still a
-    superposition, which happens exactly when f is not admissible.
+    superposition, which happens exactly when f is not admissible: every
+    Walsh value W is even, so each entry W/2^n is then at most 1 - 2^(1-n).
     """
     _check_input(f, input)
     arr = _scale(*_simulate(f, [input.index], [input.sign]))
-    index, sign = read_basis_columns(arr, tolerance)
+    index, sign = read_basis_columns(arr)
     if not sign[0]:
         raise NotBasisStateError(
             f"pipeline output for f={f.brief()} is not a basis state (function not admissible)"

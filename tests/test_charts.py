@@ -1,6 +1,6 @@
 import pytest
 
-from symtest.bitops import bits_to_int
+from symtest.bitops import CAPS, bits_to_int
 from symtest.boolfunc import to_parity_form
 from symtest.charts import build_catalog, build_chart, function_id, render
 from symtest.pipeline import run
@@ -71,7 +71,7 @@ def test_chart_reference_cells():
         assert chart.cell(x, x) == "a"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, CAPS["chart"] + 1))
 def test_chart_is_latin_square(n):
     chart = build_chart(n)
     ids = {label for label, _ in build_catalog(n).entries}

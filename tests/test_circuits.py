@@ -598,8 +598,9 @@ def permutation_runs(draw, k):
 @settings(max_examples=80, deadline=None)
 @given(hyp.data())
 def test_permutation_runs_match_dense_permutations(data):
-    # One row gather per run, at chunks of 4 and 64 amplitudes and the
-    # default: bit-identical to the gates applied one by one as matrices.
+    # One row gather per run of X and CNOT gates and one per U, at chunks of
+    # 4 and 64 amplitudes and the default: bit-identical to the gates
+    # applied one by one as matrices.
     k = data.draw(hyp.integers(1, 10))
     width = data.draw(hyp.integers(1, 17))
     chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
@@ -613,13 +614,14 @@ def test_permutation_runs_match_dense_permutations(data):
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
         want = want[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
     with mock.patch.object(statevec, "_CHUNK", chunk):
-        circuits._permute(arr, gates)
+        assert circuits._apply_gates(gates, arr) == 0
     assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("table", [(0, 0), (0, 1), (1, 1)])
 def test_lone_u_in_one_row_chunks(table):
-    # A chunk of one row cannot take the U stage's row-pair shortcut.
+    # At the smallest chunk size a chunk still holds two rows, one row pair
+    # (2t, 2t+1), which is what U reads its table entry for.
     f = TruthTable(1, table)
     arr = np.arange(4.0)[:, None]
     with mock.patch.object(statevec, "_CHUNK", 4):

@@ -40,6 +40,13 @@ def test_simulate_non_admissible_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("NotBasisState:")
+    # Amplitudes 7/8 and 1/8 here, which a tolerance of 0.3 would read as the ket +01101.
+    code, out, err = run_cli(capsys, "simulate", "0011110000111101", "+00001")
+    assert (code, out) == (1, "")
+    assert err == (
+        "NotBasisState: pipeline output for f=0011110000111101 is not a basis state "
+        "(function not admissible)\n"
+    )
 
 
 def test_predict(capsys):
@@ -201,6 +208,10 @@ def test_fault_non_finite_angle(capsys, angle):
         ("gen", "2", "--max-qubits", "1"),
         ("simulate", "0011", "+001", "--max-qubits", "2"),
         ("fault", "0011", "+001", "--max-qubits", "2"),
+        # simulate and equiv read exact results and take no tolerance.
+        ("simulate", "0011110000111101", "+00001", "--tolerance", "0.3"),
+        ("simulate", "--vector", "1111", "+001", "--tolerance", "1e-6"),
+        ("equiv", "0011", "--tolerance", "1e-6"),
     ],
 )
 def test_unread_flags_are_usage_errors(capsys, argv):
@@ -209,17 +220,7 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "1e-6"])
-def test_simulate_vector_reads_no_tolerance(capsys, tolerance):
-    argv = ("simulate", "--vector", "1111", "+001", "--tolerance", tolerance)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "not allowed with argument --vector" in err
-
-
 def test_flags_where_they_are_read(capsys):
-    assert run_cli(capsys, "simulate", "0011", "+001", "--tolerance", "1e-6")[:2] == (0, "+101\n")
-    assert run_cli(capsys, "equiv", "0011", "--tolerance", "1e-6")[0] == 0
     assert run_cli(capsys, "factor", "(1 -1)/sqrt(2)", "--tolerance", "1e-6")[0] == 0
 
 
@@ -245,9 +246,7 @@ def test_factor_rejects_non_finite_vector(capsys, vector):
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-@pytest.mark.parametrize(
-    "argv", [("simulate", "0110", "+001"), ("equiv", "0110"), ("factor", "(1 -1)/sqrt(2)")]
-)
+@pytest.mark.parametrize("argv", [("factor", "(1 -1)/sqrt(2)")])
 def test_bad_tolerance_is_rejected(capsys, argv, tolerance):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 from symtest import circuits, pipeline
-from symtest.bitops import int_to_bits
+from symtest.bitops import CAPS, int_to_bits
 from symtest.boolfunc import (
     NotAdmissibleError,
     ParityForm,
@@ -252,6 +252,15 @@ def test_run_matches_predict_at_large_n(data):
     (ket,) = _random_inputs(data, n, 1)
     assert run(f, ket).output == predict(f, ket).output
     assert success_probability(f, ket) == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.data())
+def test_solve_inverts_predict_up_to_the_cap(data):
+    n = data.draw(hyp.integers(1, CAPS["n"]))
+    f = _random_function(data, n)
+    (ket,) = _random_inputs(data, n, 1)
+    assert solve_function(ket, predict(f, ket).output) == f
 
 
 @settings(max_examples=40, deadline=None)
