@@ -246,7 +246,16 @@ def test_factor_rejects_non_finite_vector(capsys, vector):
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("argv", [("factor", "(1 -1)/sqrt(2)")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The tolerance is refused before anything is factored: a product of
+        # three qubits, an entangled pair and a single qubit all get the same error.
+        ("factor", "(1 -1 -1 1 -1 1 1 -1)/sqrt(8)"),
+        ("factor", "(1 0 0 1)/sqrt(2)"),
+        ("factor", "(1 -1)/sqrt(2)"),
+    ],
+)
 def test_bad_tolerance_is_rejected(capsys, argv, tolerance):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
