@@ -154,8 +154,7 @@ def run_vector(f: TruthTable, input: BasisKet) -> StateVector:
 
 
 def run(f: TruthTable, input: BasisKet) -> PipelineResult:
-    """Simulate the pipeline and read off the signed basis state, at
-    read_basis_columns' fixed 1e-9.
+    """Simulate the pipeline and read off the signed basis state exactly.
 
     Raises NotBasisStateError when the final vector is still a
     superposition, which happens exactly when f is not admissible: every

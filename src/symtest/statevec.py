@@ -139,41 +139,39 @@ def ket_to_vector(ket: BasisKet) -> StateVector:
     return StateVector._own(arr)
 
 
-def read_basis_columns(arr: np.ndarray, tolerance: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Read every column of a (2^k, B) amplitude batch as a signed basis state.
+def read_basis_columns(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read each column of a writeable (2^k, B) batch as a signed basis state.
 
-    Column j reads as sign[j] * |index[j]> when exactly one amplitude has
-    magnitude within `tolerance` of 1 and all others are within
-    `tolerance` of 0, which signals that no superposition or
-    entanglement remains.  sign[j] is 0 for every other column.
+    Column j reads as sign[j] * |index[j]> iff its entry at index[j] is
+    exactly +-1 and every other entry is exactly 0; else sign[j] is 0.
+    index is |sum_i i * a_i|, two small products over a (2^k / L, L, B) view
+    (L = 2^floor(k/2)), clipped into range: no full-length index vector or
+    mask is allocated.  Its entry is zeroed while the rest of the column is
+    tested, then written back, so no other thread may use `arr` meanwhile.
     """
-    check_tolerance(tolerance)
-    cols = np.arange(arr.shape[1])
-    # The first entry of largest magnitude is the first maximum or minimum.
-    top, bottom = arr.argmax(axis=0), arr.argmin(axis=0)
-    high, low = arr[top, cols], -arr[bottom, cols]
-    index = np.where((high > low) | ((high == low) & (top < bottom)), top, bottom)
-    # The largest magnitude among the other entries, a chunk of rows at a time.
-    rest = np.zeros(len(cols))
-    step = max(1, _CHUNK // max(1, len(cols)))
-    for start in range(0, len(arr), step):
-        mags = np.abs(arr[start : start + step])
-        inside = (index >= start) & (index < start + step)
-        mags[index[inside] - start, cols[inside]] = 0.0
-        rest = np.maximum(rest, mags.max(axis=0))
-    peak = arr[index, cols].astype(np.float64)  # tested against a float64 tolerance
-    ok = (np.abs(np.abs(peak) - 1.0) <= tolerance) & (rest <= tolerance)
-    sign = np.where(ok, np.where(peak > 0, 1, -1), 0)
-    return index, sign
+    rows, width = arr.shape
+    low = 1 << ((rows.bit_length() - 1) // 2)
+    view = arr.reshape(rows // low, low, width)  # row h * low + l at [h, l]
+    with np.errstate(all="ignore"):  # an inf or nan entry gives an inf or nan moment
+        high = np.arange(rows // low, dtype=arr.dtype) @ view.reshape(rows // low, low * width)
+        lows = np.arange(low, dtype=arr.dtype) @ view
+        moment = low * high.reshape(low, width).sum(axis=0) + lows.sum(axis=0)
+    index = np.fmin(np.abs(moment), rows - 1).astype(np.intp)  # nan, too, reads as the last row
+    cols = np.arange(width)
+    peak = arr[index, cols]
+    arr[index, cols] = 0
+    rest = arr.any(axis=0)
+    arr[index, cols] = peak
+    return index, np.where(rest, 0, (peak == 1).astype(np.int64) - (peak == -1))
 
 
 def vector_to_ket(v: StateVector, tolerance: float = 1e-9) -> BasisKet:
-    """Extract the signed basis ket, or raise NotBasisStateError.
-
-    The one-column case of read_basis_columns.
-    """
-    index, sign = read_basis_columns(v.amplitudes[:, None], tolerance)
-    if not sign[0]:
+    """Extract the signed basis ket, or raise NotBasisStateError: the rounded
+    amplitudes must read as one, each within `tolerance` of its amplitude."""
+    check_tolerance(tolerance)
+    rounded = np.round(v.amplitudes)
+    index, sign = read_basis_columns(rounded[:, None])
+    if not sign[0] or np.abs(v.amplitudes - rounded).max() > tolerance:
         raise NotBasisStateError("vector is not a signed basis state")
     return BasisKet(int(sign[0]), int_to_bits(int(index[0]), v.k))
 

@@ -20,6 +20,7 @@ from symtest.boolfunc import (
     from_parity_form,
     generate_functions,
     hex_decode,
+    is_admissible,
 )
 from symtest.circuits import Gate, H, _scale
 from symtest.pipeline import (
@@ -167,7 +168,7 @@ def test_verify_all_reports():
     assert report.render() == "PASS 64/64"
     assert verify_all(3).total == 256
     with pytest.raises(ValueError):
-        verify_all(7)
+        verify_all(CAPS["verify"] + 1)
 
 
 def test_verify_all_reports_disagreement(monkeypatch):
@@ -274,6 +275,45 @@ def test_flipped_entry_fails_readout_in_every_column(data):
     batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     _, sign = read_basis_columns(batch)
     assert not sign.any()
+
+
+def _tolerance_reader(arr):
+    """A column is a basis state when its first entry of largest magnitude
+    is within 1e-9 of +-1 and every other entry within 1e-9 of 0, found a
+    chunk of rows at a time: the reference for kernel batches."""
+    cols = np.arange(arr.shape[1])
+    top, bottom = arr.argmax(axis=0), arr.argmin(axis=0)
+    high, low = arr[top, cols], -arr[bottom, cols]
+    index = np.where((high > low) | ((high == low) & (top < bottom)), top, bottom)
+    rest = np.zeros(len(cols))
+    step = max(1, (1 << 15) // len(cols))
+    for start in range(0, len(arr), step):
+        mags = np.abs(arr[start : start + step])
+        inside = (index >= start) & (index < start + step)
+        mags[index[inside] - start, cols[inside]] = 0.0
+        rest = np.maximum(rest, mags.max(axis=0))
+    peak = arr[index, cols].astype(np.float64)
+    ok = (np.abs(np.abs(peak) - 1.0) <= 1e-9) & (rest <= 1e-9)
+    return index, np.where(ok, np.where(peak > 0, 1, -1), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_exact_reader_equals_the_tolerance_reader_on_kernel_batches(data):
+    # Kernel batches of an admissible f, or of one with a flipped entry,
+    # at n <= 10: the same signs, and the same index wherever sign != 0.
+    n = data.draw(hyp.integers(1, 10))
+    bits = list(_random_function(data, n).bits)
+    if data.draw(hyp.booleans()):
+        bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
+    f = TruthTable(n, tuple(bits))
+    kets = _random_inputs(data, n, 16)
+    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
+    want_index, want_sign = _tolerance_reader(batch)
+    index, sign = read_basis_columns(batch)
+    assert sign.tolist() == want_sign.tolist()
+    assert index[sign != 0].tolist() == want_index[sign != 0].tolist()
+    assert np.array_equal(sign != 0, np.full(len(kets), is_admissible(f)))
 
 
 # fault injection
@@ -418,7 +458,8 @@ def test_fault_is_one_gate_list_edit(fault):
 
 def test_run_memory_at_19_qubits():
     # One (2^20, 1) float64 state is 8 MB; the kernel works on it in place
-    # through chunk-sized buffers, and the readout reads a chunk at a time.
+    # through chunk-sized buffers, and the readout's products and row test
+    # allocate only small sums.
     n = 19
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
     ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
@@ -439,7 +480,7 @@ def test_run_memory_at_19_qubits():
 def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
     # The state is 8.4 MB; H and R work through a 256 KB scratch, U is the
     # fill's phase on a chunk of rows at a time (a chunked row gather after a
-    # first-layer rotation), and the readout reads a chunk of rows at a time.
+    # first-layer rotation), and the readout reads the state in place.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 0))
