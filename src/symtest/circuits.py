@@ -12,26 +12,27 @@ on inputs whose function wire is |1>; on |0> ancilla inputs the sandwich
 is the identity.  assert_equivalent therefore takes an explicit input
 set, and the pipeline checks pass the ancilla-1 basis states.
 
-Gate lists also hold the pipeline's two stages: U, the oracle of the
-truth table in its `arg`, on the last wire, and R, a real rotation by
-the angle in its `arg`.  _simulate_batch is the one simulator, for these
-circuits and the pipeline alike.  It works on a (2^k, B) array whose
-columns are basis inputs.  The fill writes the leading run of H gates on
-distinct wires in closed form, H^(x)W on a signed basis state, as one
-outer product of two small +-1/0 factors (a one-hot scatter when there is
-no such run), and a U right after a run that covers its ancilla as the
-phase (-1)^(f(t) a) on rows 2t, 2t+1, a the column's ancilla bit (phase
-kickback).  After it, a run of H gates on distinct wires is one butterfly
-call per contiguous wire range (blocked +-1 matrix products, exact on
-integer amplitudes below 2^24 in float32), a run of X and CNOT gates,
-or a U alone, is one permutation of the array's rows, gathered in place
-a chunk at a time (pure copies, so exact), R is a 2 x 2 block product,
-and the Hadamard scale is applied once at the end, so a circuit with an
-even number of H gates is simulated exactly.  Batches that are read out
-are float32 when _batch_dtype allows, else float64; simulate_circuit, the
-one-column case, keeps float64.  assert_equivalent reads its inputs in
-chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated into
-reused buffers, so its memory stays bounded however many inputs it checks.
+Gate lists also hold the pipeline's U, the oracle of the truth table in
+its `arg`, on the last wire, and R, a real rotation by the angle in its
+`arg`.  _simulate_batch is the one simulator, for these circuits and the
+pipeline alike, on a (2^k, B) array whose columns are basis inputs.
+_stages alone groups a gate list into the kernel's stages: stage 0 is its
+leading run of H gates on distinct wires, then come maximal runs of H on
+distinct wires, maximal runs of X and CNOT, and each U and each R alone.
+The fill writes stage 0 in closed form, H^(x)W on a signed basis state,
+as one outer product of two small +-1/0 factors (a one-hot scatter when
+it is empty), and a U in stage 1 whose ancilla stage 0 holds as the phase
+(-1)^(f(t) a) on rows 2t, 2t+1, a the column's ancilla bit (phase
+kickback).  Each later H stage is one butterfly call per contiguous wire
+range (blocked +-1 matrix products, exact on integer amplitudes below
+2^24 in float32), an X/CNOT stage or a U one in-place row gather a chunk
+at a time (pure copies, so exact), R a 2 x 2 block product, and the
+Hadamard scale is applied once at the end, so a circuit with an even
+number of H gates is simulated exactly.  Read-out batches are float32
+when _batch_dtype allows, else float64; simulate_circuit keeps float64.
+assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
+(16 columns at 12 wires), simulated into reused buffers, so its memory
+stays bounded however many inputs it checks.
 """
 
 import functools
@@ -240,16 +241,6 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
                 j = source
 
 
-def _leading_hadamards(gates: Sequence[Gate]) -> list[int]:
-    """Wires of the longest prefix of `gates` that is H on distinct wires."""
-    wires: list[int] = []
-    for g in gates:
-        if g.name != "H" or g.qubits[0] in wires:
-            break
-        wires.append(g.qubits[0])
-    return wires
-
-
 def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
     """The int8 (2^m, B) factor of the fill on m index bits: row r of column
     j is (-1)^|r & x[j] & w| where r agrees with x[j] off the bits w, else 0."""
@@ -270,7 +261,9 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None =
     x = index[j] off W, and 0 elsewhere (Bernstein-Vazirani).  That factors
     over the high and low halves of r, so the batch is one outer product
     of two int8 factors written in one pass; the integer zeros cast to +0.0,
-    as the butterfly leaves them.  With no wires it is the one-hot scatter.
+    as the butterfly leaves them.  With no wires it is the one-hot scatter: the
+    product wrote the same batch in 100-160 us per (4096, 16) float32 equiv
+    batch, the scatter in 15-22 us (2 vCPUs).
 
     With `u`, the table of a U gate right after the run, W holds the
     ancilla, so row 2t + b has the factor (-1)^(a b), a the column's
@@ -309,33 +302,36 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None =
     return len(wires)
 
 
-def _apply_gates(gates: Iterable[Gate], arr: np.ndarray) -> int:
-    """Apply the gates in place to the C-contiguous (2^k, B) array `arr` and
-    return the number h of H gates applied.
-
-    A run of H gates on distinct wires is applied when any other gate or a
-    repeated wire ends it; a run of X and CNOT gates is one row permutation,
-    and so is each U on its own; R mixes the two halves of its wire.
-    """
-    h = 0
-    for kind, run in groupby(gates, lambda g: "P" if g.name in ("X", "CNOT") else g.name):
-        if kind == "P":
-            _permute(arr, list(run))
-        elif kind == "U":
-            for g in run:
-                _permute(arr, [g])
-        elif kind == "R":
-            for g in run:
-                c, s = math.cos(g.arg), math.sin(g.arg)
-                _apply(arr, g.qubits[0], np.array([[c, -s], [s, c]]))
+def _stages(gates: Sequence[Gate]) -> list[tuple[str, list]]:
+    """The kernel's plan for a gate list, as (kind, items) stages: stage 0,
+    the fill's ("H", wires), then ("H", wires), ("P", X and CNOT gates),
+    ("U", [gate]) and ("R", [gate]) as the module docstring sets out."""
+    stages: list[tuple[str, list]] = [("H", [])]
+    for g in gates:
+        kind = "P" if g.name in ("X", "CNOT") else g.name
+        item = g.qubits[0] if kind == "H" else g
+        last, items = stages[-1]
+        if kind == last == "P" or (kind == last == "H" and item not in items):
+            items.append(item)
         else:
-            wires: list[int] = []  # a run of H gates on distinct wires, not yet applied
-            for g in run:
-                if g.qubits[0] in wires:
-                    h += _hadamards(arr, wires)
-                    wires = []
-                wires.append(g.qubits[0])
-            h += _hadamards(arr, wires)
+            stages.append((kind, [item]))
+    return stages
+
+
+def _apply_stages(stages: Iterable[tuple[str, list]], arr: np.ndarray) -> int:
+    """Apply the stages of a plan in place to the C-contiguous (2^k, B) array
+    `arr` and return the number h of H gates applied."""
+    h = 0
+    for kind, items in stages:
+        if kind == "H":
+            h += _hadamards(arr, items)
+        elif kind == "R":
+            c, s = math.cos(items[0].arg), math.sin(items[0].arg)
+            _apply(arr, items[0].qubits[0], np.array([[c, -s], [s, c]]))
+        else:
+            # A row gather; for U 3.8-7.0 ms at n = 19 in float64, where butterfly,
+            # phase, butterfly on the ancilla took 7.3-11.3 ms (2 vCPUs).
+            _permute(arr, items)
     return h
 
 
@@ -344,9 +340,9 @@ def _batch_dtype(gates: Sequence[Gate]) -> type:
     otherwise.  The fill writes +-1 or 0, permutations copy, and each H at
     most doubles the largest magnitude, so every amplitude and partial sum
     of a +-1 block product is an integer within 2^24, exact in float32."""
-    rest = gates[len(_leading_hadamards(gates)) :]
-    narrow = sum(g.name == "H" for g in rest) <= 24 and all(g.name != "R" for g in rest)
-    return np.float32 if narrow else np.float64
+    rest = _stages(gates)[1:]
+    h = sum(len(items) for kind, items in rest if kind == "H")
+    return np.float32 if h <= 24 and all(kind != "R" for kind, _ in rest) else np.float64
 
 
 def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
@@ -354,14 +350,14 @@ def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
     C-contiguous (2^k, B) array `arr`, in place, and return the number h of
     H gates applied; _scale then normalizes the batch.
 
-    The fill takes the leading run of H gates on distinct wires, and a U
-    right after it if the run covers U's ancilla; the rest acts on its batch.
+    The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
+    holds (phase kickback); _apply_stages applies the rest.
     """
-    lead = _leading_hadamards(gates)
-    rest = gates[len(lead) :]
-    kick = bool(rest) and rest[0].name == "U" and rest[0].qubits[0] in lead
-    h = _fill(arr, index, sign, lead, rest[0].arg if kick else None)
-    return h + _apply_gates(rest[kick:], arr)
+    stages = _stages(gates)
+    lead = stages[0][1]
+    kick = len(stages) > 1 and stages[1][0] == "U" and stages[1][1][0].qubits[0] in lead
+    h = _fill(arr, index, sign, lead, stages[1][1][0].arg if kick else None)
+    return h + _apply_stages(stages[1 + kick :], arr)
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:

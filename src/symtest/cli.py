@@ -120,8 +120,8 @@ def _cmd_fault(args) -> int:
 def _cmd_factor(args) -> int:
     v = statevec.parse_vector(args.vector)
     factors = statevec.factor_product_state(v, tolerance=args.tolerance)
-    for pair in factors:
-        print(statevec.format_vector(StateVector(pair)))
+    lines = [statevec.format_vector(StateVector(pair)) for pair in factors]
+    print("\n".join(lines))  # nothing is printed unless every factor formats
     return 0
 
 

@@ -240,12 +240,12 @@ def factor_product_state(v: StateVector, tolerance: float = 1e-9) -> list[tuple[
         half = rest.reshape(2, -1)
         n0 = float(np.linalg.norm(half[0]))
         n1 = float(np.linalg.norm(half[1]))
-        if n0 <= tolerance:
+        if n0 <= min(tolerance, n1):  # of two halves within the tolerance, drop the smaller
             factors.append((0.0, 1.0))
-            rest = half[1]
+            rest = half[1] / n1
         elif n1 <= tolerance:
             factors.append((1.0, 0.0))
-            rest = half[0]
+            rest = half[0] / n0
         else:
             sign = 1.0 if float(half[0] @ half[1]) >= 0.0 else -1.0
             scale = math.hypot(n0, n1)

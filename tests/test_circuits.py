@@ -614,8 +614,39 @@ def test_permutation_runs_match_dense_permutations(data):
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
         want = want[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
     with mock.patch.object(statevec, "_CHUNK", chunk):
-        assert circuits._apply_gates(gates, arr) == 0
+        assert circuits._apply_stages(circuits._stages(gates)[1:], arr) == 0
     assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp.data())
+def test_stages_split_a_gate_list_into_the_kernels_runs(data):
+    # The plan holds every gate in order, opens with the fill's H stage,
+    # keeps each H stage on distinct wires and starts a new one only at a
+    # repeated wire, never puts two P stages side by side, and keeps each U
+    # and R alone.
+    k = data.draw(hyp.integers(1, 6))
+    wire = hyp.integers(0, k - 1)
+    rotation = hyp.builds(lambda q, a: Gate("R", (q,), a), wire, hyp.floats(-4, 4))
+    kinds = [wire.map(H), wire.map(X), rotation]
+    if k > 1:
+        table = data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << (k - 1), max_size=1 << (k - 1)))
+        kinds.append(hyp.just(Gate("U", (k - 1,), TruthTable(k - 1, table))))
+        kinds.append(hyp.permutations(range(k)).map(lambda p: CNOT(p[0], p[1])))
+    gates = data.draw(hyp.lists(hyp.one_of(kinds), max_size=30))
+    stages = circuits._stages(gates)
+    assert [H(x) if kind == "H" else x for kind, items in stages for x in items] == gates
+    assert stages[0][0] == "H"
+    assert all(items for _, items in stages[1:])
+    for kind, items in stages:
+        if kind == "H":
+            assert len(set(items)) == len(items)
+        elif kind in ("U", "R"):
+            assert len(items) == 1
+    for (before, wires), (kind, items) in zip(stages, stages[1:]):
+        assert (before, kind) != ("P", "P")
+        if before == kind == "H":
+            assert items[0] in wires
 
 
 @pytest.mark.parametrize("table", [(0, 0), (0, 1), (1, 1)])

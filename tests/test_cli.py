@@ -236,6 +236,21 @@ def test_factor_entangled(capsys):
     assert err.startswith("Entangled:")
 
 
+@pytest.mark.parametrize(
+    "vector, tolerance, want",
+    [
+        # Within 0.7 the 0.6 amplitude is dropped, and the kept half is a unit
+        # vector again; within 0.5 nothing is dropped and the pair is entangled.
+        ("(0.6 0 0 0.8)", "0.7", (0, "(0 1)\n(0 1)\n", "")),
+        ("(0.6 0 0 0.8)", "0.5", (1, "", "Entangled: vector has no single-qubit factorization\n")),
+        # Both halves are within 1; the empty one is dropped, not divided by.
+        ("(1 0 0 0)", "1", (0, "(1 0)\n(1 0)\n", "")),
+    ],
+)
+def test_factor_drops_a_half_within_the_tolerance(capsys, vector, tolerance, want):
+    assert run_cli(capsys, "factor", vector, "--tolerance", tolerance) == want
+
+
 @pytest.mark.parametrize("vector", ["(nan 0)", "(0 nan)", "(inf 0)", "(0 0)/sqrt(0)"])
 def test_factor_rejects_non_finite_vector(capsys, vector):
     with warnings.catch_warnings():

@@ -570,10 +570,10 @@ def test_first_run_in_a_fresh_process_is_within_1_25_states():
 
 
 def _gather_batch(gates, index, sign, arr):
-    """The kernel with U always a row gather: the fill of the leading H
-    run, then every later gate through _apply_gates."""
-    lead = circuits._leading_hadamards(gates)
-    return circuits._fill(arr, index, sign, lead) + circuits._apply_gates(gates[len(lead) :], arr)
+    """The kernel with U always a row gather: the fill of stage 0, then
+    every later stage through _apply_stages."""
+    stages = circuits._stages(gates)
+    return circuits._fill(arr, index, sign, stages[0][1]) + circuits._apply_stages(stages[1:], arr)
 
 
 @pytest.mark.parametrize(
