@@ -15,7 +15,6 @@ holds O(2^n) bytes; `function_lines` prints that stream as the listing.
 """
 
 import math
-import string
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -224,19 +223,32 @@ def classify(tt: TruthTable) -> FunctionClass:
 
 
 def padded_hex(tt: TruthTable) -> str:
-    """Uppercase hex of the table value, zero-padded to one digit per 4 bits."""
-    return format(tt.value, f"0{max(1, (1 << tt.n) // 4)}X")
+    """Uppercase hex of the table value, one digit per 4 entries (at least
+    one).  The entries, left-padded with zeros to a whole byte, are packed 8
+    to a byte by `np.packbits`; the last digits of that hex are the value's."""
+    packed = np.packbits(np.frombuffer(tt.table.rjust(8, b"\0"), np.uint8))
+    return packed.tobytes().hex().upper()[-max(1, len(tt.table) // 4) :]
 
 
 def hex_decode(text: str, n: int | None = None) -> TruthTable:
     """Parse a truth table from a binary or hex string: a bare 0/1 string of
     2^n digits is binary, and anything else is hex digits after at most one
     "$" or "0x" prefix.  Without n, a bare 0/1 string of power-of-two length
-    >= 2 gives n directly, and any other string gives 4 bits a hex digit."""
+    >= 2 gives n directly, and any other string gives 4 bits a hex digit.
+
+    Hex is read in one pass: `bytes.fromhex` on the digits, left-padded to
+    an even count, which also checks them, then `np.unpackbits`.  The low
+    2^n bits are the table, zero-padded on the left; a set bit above them
+    does not fit."""
     s = text.strip()
     prefix = 1 if s[:1] == "$" else 2 if s[:2].lower() == "0x" else 0
     body = s[prefix:]
-    if not body or body.strip(string.hexdigits):  # int() would also take "_", a sign, "0x"
+    digits = body.rjust(len(body) + len(body) % 2, "0")
+    try:
+        packed = bytes.fromhex(digits)
+    except ValueError:  # a non-hex character, or a space inside a pair
+        packed = b""
+    if not body or 2 * len(packed) != len(digits):  # fromhex skips spaces
         raise ValueError(f"malformed function string: {text!r}")
     binary = not prefix and not s.strip("01")
     if n is None:
@@ -245,12 +257,13 @@ def hex_decode(text: str, n: int | None = None) -> TruthTable:
             raise ValueError(f"cannot infer qubit count from {text!r}")
         n = size.bit_length() - 1
     _check_n(n)
-    if binary and len(s) == 1 << n:
+    size = 1 << n
+    if binary and len(s) == size:
         return TruthTable.from_string(s)
-    value = int(body, 16)
-    if value >> (1 << n):
-        raise ValueError(f"{text!r} does not fit a {1 << n}-bit truth table")
-    return TruthTable.from_value(n, value)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8))
+    if bits[:-size].any():
+        raise ValueError(f"{text!r} does not fit a {size}-bit truth table")
+    return TruthTable(n, bits[-size:].tobytes().rjust(size, b"\0"))
 
 
 def is_invariant_under(tt: TruthTable, delta) -> bool:

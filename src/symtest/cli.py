@@ -4,9 +4,14 @@ Function arguments are binary or hex ("$3C3C", "0x69", bare hex); state
 arguments are signed bitstrings including the ancilla bit ("+10001").
 Everything is deterministic, so there are no seed flags.  Exit codes:
 0 success, 1 domain error (error name on stderr), 2 usage error.
+
+The parser is built once per process, on the first `dispatch`: parsing
+leaves it unchanged, and it looks up sys.stdout and sys.stderr only when
+it prints.
 """
 
 import argparse
+import functools
 import sys
 
 from . import boolfunc, charts, circuits, pipeline, statevec
@@ -131,7 +136,9 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: every call returns it, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="symtest",
         description="Simulate, predict, and chart symmetric/antisymmetric quantum test functions.",

@@ -1,4 +1,5 @@
 import array
+import string
 import sys
 from itertools import product
 
@@ -24,6 +25,7 @@ from symtest.boolfunc import (
     listing_bytes,
     padded_hex,
     to_parity_form,
+    _check_n,
 )
 
 tt = TruthTable.from_string
@@ -309,6 +311,95 @@ def test_hex_decode_errors():
     for text in ("0_FF", "$0x00FF", "$+FF"):  # int(..., 16) takes each of these
         with pytest.raises(ValueError, match="malformed function string"):
             hex_decode(text, 4)
+
+
+def _int_padded_hex(t):
+    """The table's value as one Python int, formatted: the reference codec."""
+    return format(t.value, f"0{max(1, (1 << t.n) // 4)}X")
+
+
+def _int_hex_decode(text, n=None):
+    """`hex_decode` through one Python int: the reference codec."""
+    s = text.strip()
+    prefix = 1 if s[:1] == "$" else 2 if s[:2].lower() == "0x" else 0
+    body = s[prefix:]
+    if not body or body.strip(string.hexdigits):
+        raise ValueError(f"malformed function string: {text!r}")
+    binary = not prefix and not s.strip("01")
+    if n is None:
+        size = len(s) if binary and len(s) >= 2 and not len(s) & (len(s) - 1) else 4 * len(body)
+        if size & (size - 1):
+            raise ValueError(f"cannot infer qubit count from {text!r}")
+        n = size.bit_length() - 1
+    _check_n(n)
+    if binary and len(s) == 1 << n:
+        return TruthTable.from_string(s)
+    value = int(body, 16)
+    if value >> (1 << n):
+        raise ValueError(f"{text!r} does not fit a {1 << n}-bit truth table")
+    return TruthTable.from_value(n, value)
+
+
+def _outcome(decode, text, n):
+    try:
+        return decode(text, n)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_padded_hex_equals_the_int_codec_on_every_table(n):
+    for t in all_tables(n):
+        assert padded_hex(t) == _int_padded_hex(t)
+        assert hex_decode(padded_hex(t), n) == t
+
+
+@given(hyp.integers(1, 12).flatmap(lambda n: hyp.tuples(hyp.just(n), hyp.randoms())))
+def test_padded_hex_equals_the_int_codec(args):
+    n, rng = args
+    t = TruthTable(n, bytes(rng.getrandbits(1) for _ in range(1 << n)))
+    text = padded_hex(t)
+    assert text == _int_padded_hex(t)
+    assert hex_decode(text, n) == _int_hex_decode(text, n) == t
+
+
+@given(
+    hyp.integers(1, 5),
+    hyp.sampled_from(["", "$", "0x", "0X"]),
+    hyp.integers(0, 6),
+    hyp.text(string.hexdigits, min_size=1, max_size=12),
+)
+def test_hex_decode_equals_the_int_codec(n, prefix, zeros, digits):
+    # Odd and even lengths, surplus leading zeros, and bodies too wide for n.
+    text = prefix + ("0" * zeros + digits)[:12]
+    assert _outcome(hex_decode, text, n) == _outcome(_int_hex_decode, text, n)
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("FFFFF", 2, "'FFFFF' does not fit a 4-bit truth table"),
+        ("$100", 3, "'$100' does not fit a 8-bit truth table"),
+        ("$3C 3C", 4, "malformed function string: '$3C 3C'"),
+        ("0x", None, "malformed function string: '0x'"),
+        ("$+FF", 3, "malformed function string: '$+FF'"),
+        ("0_FF", None, "malformed function string: '0_FF'"),
+        ("$0x00FF", 4, "malformed function string: '$0x00FF'"),
+    ],
+)
+def test_hex_decode_errors_equal_the_int_codec(text, n, message):
+    assert _outcome(hex_decode, text, n) == _outcome(_int_hex_decode, text, n)
+    with pytest.raises(ValueError) as raised:
+        hex_decode(text, n)
+    assert str(raised.value) == message
+
+
+def test_codec_equals_the_int_codec_at_the_n_cap():
+    n = CAPS["n"]
+    t = TruthTable(n, np.random.default_rng(20).integers(0, 2, 1 << n, dtype=np.uint8))
+    text = padded_hex(t)
+    assert text == _int_padded_hex(t)
+    assert hex_decode("$" + text, n) == _int_hex_decode("$" + text, n) == t
 
 
 # shift invariance

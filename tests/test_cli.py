@@ -325,6 +325,41 @@ def test_usage_error_is_2(capsys):
     assert code == 2
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_carries_no_flag_or_positional_over(capsys):
+    # One process, one parser: each second command leaves out what the first gave.
+    signed_csv = (
+        ",001,011,101,111\n001,±a,±c,±b,±d\n011,±c,±a,±d,±b\n"
+        "101,±b,±d,±a,±c\n111,±d,±b,±c,±a\n"
+    )
+    text = (
+        "    001 011 101 111\n001 a   c   b   d\n011 c   a   d   b\n"
+        "101 b   d   a   c\n111 d   b   c   a\n"
+    )
+    entangled = "Entangled: vector has no single-qubit factorization\n"
+    usage = (
+        "usage: symtest simulate [-h] [--vector] function state\n"
+        "symtest simulate: error: the following arguments are required: state\n"
+    )
+    steps = [
+        (("simulate", "--vector", "1111", "+001"), (0, "(0 -1 0 0 0 0 0 0)\n", "")),
+        (("simulate", "1111", "+001"), (0, "-001\n", "")),
+        (("chart", "2", "--signed", "--format", "csv"), (0, signed_csv, "")),
+        (("chart", "2"), (0, text, "")),
+        (("fault", "0011", "+001", "skip:first:0"), (0, "0.5\n", "")),
+        (("fault", "0011", "+001"), (0, "1\n", "")),
+        (("factor", "(0.6 0 0 0.8)", "--tolerance", "0.7"), (0, "(0 1)\n(0 1)\n", "")),
+        (("factor", "(0.6 0 0 0.8)"), (1, "", entangled)),
+        (("simulate", "0011"), (2, "", usage)),
+        (("simulate", "0011", "+001"), (0, "+101\n", "")),
+    ]
+    for argv, want in steps:
+        assert run_cli(capsys, *argv) == want, argv
+
+
 def test_help_is_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
