@@ -16,23 +16,27 @@ Gate lists also hold the pipeline's U, the oracle of the truth table in
 its `arg`, on the last wire, and R, a real rotation by the angle in its
 `arg`.  _simulate_batch is the one simulator, for these circuits and the
 pipeline alike, on a (2^k, B) array whose columns are basis inputs.
-_stages alone groups a gate list into the kernel's stages: stage 0 is its
-leading run of H gates on distinct wires, then come maximal runs of H on
-distinct wires, maximal runs of X and CNOT, and each U and each R alone.
-The fill writes stage 0 in closed form, H^(x)W on a signed basis state,
-as one outer product of two small +-1/0 factors (a one-hot scatter when
-it is empty), and a U in stage 1 whose ancilla stage 0 holds as the phase
-(-1)^(f(t) a) on rows 2t, 2t+1, a the column's ancilla bit (phase
-kickback).  Each later H stage is one butterfly call per contiguous wire
-range (blocked +-1 matrix products, exact on integer amplitudes below
-2^24 in float32), an X/CNOT stage or a U one in-place row gather a chunk
-at a time (pure copies, so exact), R a 2 x 2 block product, and the
-Hadamard scale is applied once at the end, so a circuit with an even
-number of H gates is simulated exactly.  Read-out batches are float32
-when _batch_dtype allows, else float64; simulate_circuit keeps float64.
-assert_equivalent reads its inputs in chunks of at most 2^16 amplitudes
-(16 columns at 12 wires), simulated into reused buffers, so its memory
-stays bounded however many inputs it checks.
+_stages alone groups a gate list into the kernel's stages, and each
+caller plans a gate list once and passes the plan to _batch_dtype and
+_simulate_batch: stage 0 is its leading run of H gates on distinct
+wires, then come maximal runs of H on distinct wires, maximal runs of X
+and CNOT, and each U and each R alone.  The fill writes stage 0 in
+closed form, H^(x)W on a signed basis state, as one outer product of two
+small +-1/0 factors (a one-hot scatter when it is empty), and a U in
+stage 1 whose ancilla stage 0 holds as the phase (-1)^(f(t) a) on rows
+2t, 2t+1, a the column's ancilla bit (phase kickback).  Such a U alone
+may hold a tuple of g tables, one for each of g consecutive, equal
+groups of columns, so that one pass simulates g functions.  Each later H
+stage is one butterfly call per contiguous wire range (blocked +-1
+matrix products, exact on integer amplitudes below 2^24 in float32), an
+X/CNOT stage or a U one in-place row gather a chunk at a time (pure
+copies, so exact), R a 2 x 2 block product, and the Hadamard scale is
+applied once at the end, so a circuit with an even number of H gates is
+simulated exactly.  Read-out batches are float32 when _batch_dtype
+allows, else float64; simulate_circuit keeps float64.  assert_equivalent
+reads its inputs in chunks of at most 2^16 amplitudes (16 columns at 12
+wires), simulated into reused buffers, so its memory stays bounded
+however many inputs it checks.
 """
 
 import functools
@@ -63,11 +67,16 @@ _GATE_ARITY = {"H": 1, "X": 1, "CNOT": 2, "U": 1, "R": 1}
 
 @dataclass(frozen=True)
 class Gate:
-    """A gate on `qubits`; the stages U and R take their table or angle as `arg`."""
+    """A gate on `qubits`; the stages U and R take their table or angle as `arg`.
+
+    U may also take a tuple of g tables on the same n: the batch's columns
+    then split into g equal, consecutive groups, and group i sees table i.
+    The fill alone applies such a U, so it must come right after a leading
+    run of H that holds its wire (phase kickback)."""
 
     name: str
     qubits: tuple[int, ...]
-    arg: TruthTable | float | None = None
+    arg: TruthTable | tuple[TruthTable, ...] | float | None = None
 
     def __post_init__(self):
         if self.name not in _GATE_ARITY:
@@ -78,10 +87,15 @@ class Gate:
             raise ValueError("CNOT control and target must differ")
         if (self.arg is None) == (self.name in ("U", "R")):
             raise ValueError(f"{self.name}: U and R need an argument, other gates take none")
-        if self.name == "U" and not isinstance(self.arg, TruthTable):
-            raise ValueError(f"U takes a TruthTable, got {type(self.arg).__name__}")
-        if self.name == "U" and self.qubits != (self.arg.n,):
-            raise ValueError(f"U of an n={self.arg.n} table targets wire {self.arg.n}")
+        if self.name == "U":
+            tables = self.arg if isinstance(self.arg, tuple) else (self.arg,)
+            if not tables:
+                raise ValueError("U takes a TruthTable or a non-empty tuple of them")
+            for t in tables:
+                if not isinstance(t, TruthTable):
+                    raise ValueError(f"U takes a TruthTable, got {type(t).__name__}")
+                if self.qubits != (t.n,):
+                    raise ValueError(f"U of an n={t.n} table targets wire {t.n}")
         if self.name == "R" and not isinstance(self.arg, numbers.Real):
             raise ValueError(f"R takes a real angle, got {type(self.arg).__name__}")
         if self.name == "R" and not math.isfinite(self.arg):
@@ -252,7 +266,13 @@ def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
     return out
 
 
-def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None = None) -> int:
+def _fill(
+    arr: np.ndarray,
+    index,
+    sign,
+    wires: list[int],
+    u: TruthTable | tuple[TruthTable, ...] | None = None,
+) -> int:
     """Fill the C-contiguous (2^k, B) array `arr` with the unnormalized
     columns H^(x)W sign[j] |index[j]>, W the distinct `wires`, and return
     the number of H gates, len(W).
@@ -269,7 +289,9 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None =
     ancilla, so row 2t + b has the factor (-1)^(a b), a the column's
     ancilla bit, and U's swap of the pairs where u(t) = 1 is the phase
     (-1)^(u(t) a) on both rows (phase kickback), put on the int8 product
-    a chunk of high rows at a time, before the cast: U moves no rows.
+    a chunk of high rows at a time, before the cast: U moves no rows.  A
+    tuple of g tables splits the B columns into g consecutive groups of
+    B / g, group i taking the phase of table i; one table is g = 1.
     """
     if not wires:
         arr.fill(0.0)
@@ -284,18 +306,26 @@ def _fill(arr: np.ndarray, index, sign, wires: list[int], u: TruthTable | None =
     out = arr.reshape(len(high), len(low), len(x))
     step = max(1, statevec._CHUNK // low.size)  # high rows per chunk
     if u is not None:
+        tables = u if isinstance(u, tuple) else (u,)
+        g = len(tables)
+        if len(x) % g:
+            raise ValueError(f"{len(x)} columns do not split into {g} groups, one per U table")
         # A uint16 of `rows` is 0xFFFF on both rows 2t, 2t+1 where u(t) = 1; the
         # ancilla bits mask that to m = 0 or -1 in int8, and (v ^ m) - m = -v where m = -1.
-        table = np.frombuffer(u.table, np.uint8).reshape(len(high), -1)
-        ancilla = np.where(x & 1, -1, 0).astype(np.int8)
-        rows = np.empty((min(step, len(high)), len(low) // 2), np.uint16)
+        # The tables are a (high row, g, low row pair) view; join leaves a lone table uncopied.
+        joined = np.frombuffer(b"".join(t.table for t in tables), np.uint8)
+        table = joined.reshape(g, len(high), -1).transpose(1, 0, 2)
+        ancilla = np.where(x & 1, -1, 0).astype(np.int8).reshape(g, -1)
+        rows = np.empty((min(step, len(high)), g, len(low) // 2), np.uint16)
+        pairs = rows.view(np.int8).transpose(0, 2, 1)[..., None]  # (chunk, low rows, g, 1)
         m, phase = (np.empty((len(rows), len(low), len(x)), np.int8) for _ in range(2))
+        groups = m.reshape(len(rows), len(low), g, -1)
     for h in range(0, len(high), step):
         p = high[h : h + step, None]
         if u is not None:
             c = len(p)
             np.multiply(table[h : h + c], np.uint16(0xFFFF), out=rows[:c])
-            np.bitwise_and(rows[:c].view(np.int8)[..., None], ancilla, out=m[:c])
+            np.bitwise_and(pairs[:c], ancilla, out=groups[:c])
             p = np.bitwise_xor(m[:c], p, out=phase[:c])
             np.subtract(p, m[:c], out=p)
         np.multiply(p, low, out=out[h : h + step])
@@ -335,27 +365,29 @@ def _apply_stages(stages: Iterable[tuple[str, list]], arr: np.ndarray) -> int:
     return h
 
 
-def _batch_dtype(gates: Sequence[Gate]) -> type:
-    """float32 for gates with no R and at most 24 H after the fill, float64
+def _batch_dtype(stages: list[tuple[str, list]]) -> type:
+    """float32 for a plan with no R and at most 24 H after the fill, float64
     otherwise.  The fill writes +-1 or 0, permutations copy, and each H at
     most doubles the largest magnitude, so every amplitude and partial sum
     of a +-1 block product is an integer within 2^24, exact in float32."""
-    rest = _stages(gates)[1:]
+    rest = stages[1:]
     h = sum(len(items) for kind, items in rest if kind == "H")
     return np.float32 if h <= 24 and all(kind != "R" for kind, _ in rest) else np.float64
 
 
-def _simulate_batch(gates: Sequence[Gate], index, sign, arr: np.ndarray) -> int:
-    """Simulate the gates on the columns sign[j] * |index[j]> of the
+def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray) -> int:
+    """Simulate a plan of _stages on the columns sign[j] * |index[j]> of the
     C-contiguous (2^k, B) array `arr`, in place, and return the number h of
     H gates applied; _scale then normalizes the batch.
 
     The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
-    holds (phase kickback); _apply_stages applies the rest.
+    holds (phase kickback); _apply_stages applies the rest, which may hold
+    no U of a tuple of tables.
     """
-    stages = _stages(gates)
     lead = stages[0][1]
     kick = len(stages) > 1 and stages[1][0] == "U" and stages[1][1][0].qubits[0] in lead
+    if any(kind == "U" and isinstance(items[0].arg, tuple) for kind, items in stages[1 + kick :]):
+        raise ValueError("a U of a tuple of tables must follow a leading H run that holds its wire")
     h = _fill(arr, index, sign, lead, stages[1][1][0].arg if kick else None)
     return h + _apply_stages(stages[1 + kick :], arr)
 
@@ -384,7 +416,7 @@ def simulate_circuit(circ: Circuit, input: BasisKet) -> StateVector:
     _check_cap("qubits", circ.wires, f"circuit on {circ.wires} wires")
     index, sign = _columns([input], circ.wires)
     arr = np.empty((1 << circ.wires, 1))
-    h = _simulate_batch(circ.gates, index, sign, arr)
+    h = _simulate_batch(_stages(circ.gates), index, sign, arr)
     return StateVector._own(_scale(arr, h, circ.global_sign))
 
 
@@ -403,10 +435,11 @@ def assert_equivalent(
     """True iff both circuits produce the same vector on every given basis
     input (all of them by default).
 
-    Inputs are simulated as the columns of two reused float64 batches of at
-    most _BATCH_AMPLITUDES amplitudes (through a float32 one when
-    _batch_dtype allows), and the check stops at the first batch that
-    differs; a ket of the wrong width raises ValueError when its batch is read.
+    Each circuit is planned once.  Inputs are simulated as the columns of
+    two reused float64 batches of at most _BATCH_AMPLITUDES amplitudes
+    (through a float32 one when _batch_dtype allows), and the check stops at
+    the first batch that differs; a ket of the wrong width raises ValueError
+    when its batch is read.
     """
     if a.wires != b.wires:
         raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
@@ -416,6 +449,8 @@ def assert_equivalent(
         inputs = iter_basis_inputs(a.wires)
     inputs = iter(inputs)
     columns = max(1, _BATCH_AMPLITUDES >> a.wires)
+    plans = [_stages(c.gates) for c in (a, b)]
+    dtypes = [_batch_dtype(stages) for stages in plans]
     work = None
     while chunk := list(islice(inputs, columns)):
         index, sign = _columns(chunk, a.wires)
@@ -423,9 +458,9 @@ def assert_equivalent(
         if work is None:  # the first chunk is the widest
             work = (np.empty(size), np.empty(size), np.empty(size, np.float32))
         va, vb, small = (w[:size].reshape(-1, len(chunk)) for w in work)
-        for c, out in ((a, va), (b, vb)):
-            arr = small if _batch_dtype(c.gates) == np.float32 else out
-            arr = _scale(arr, _simulate_batch(c.gates, index, sign, arr), c.global_sign)
+        for c, stages, dtype, out in zip((a, b), plans, dtypes, (va, vb)):
+            arr = small if dtype == np.float32 else out
+            arr = _scale(arr, _simulate_batch(stages, index, sign, arr), c.global_sign)
             if arr is not out:
                 np.copyto(out, arr)
         check_state_columns(va)

@@ -16,20 +16,21 @@ A fault is one edit to that list: a skipped Hadamard drops one H, a
 rotation appends an R stage after its layer, and a corrupted oracle
 entry flips one entry of U's table.  The kernel works on a (2^k, B)
 batch whose columns are input states, so verify_all sends all signed
-inputs of one f through in one pass, while run() and friends pass a
-single column.  Simulation is exact for the unfaulted pipeline: the
-first H layer is filled in closed form, each input's +-1 Hadamard row,
-with U as the phase (-1)^f(t) on row pairs read from f's table, not its
-parity form (phase kickback; a row gather after a first-layer rotation
-or with the ancilla's H skipped); the second layer is one butterfly
-call, +-1 matrix products on integer amplitudes whose partial sums never
-exceed 2^k <= 2^20; and the 2k Hadamards leave a power-of-two scale that
-is divided out at the end.  Batches are float32, exact below 2^24,
-unless a rotation fault adds an R stage (circuits._batch_dtype);
-run_vector returns float64.
+inputs of several f through in one pass, with one U table per f's group
+of columns, while run() and friends pass a single column.  Simulation is
+exact for the unfaulted pipeline: the first H layer is filled in closed
+form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
+row pairs read from f's table, not its parity form (phase kickback; a
+row gather after a first-layer rotation or with the ancilla's H
+skipped); the second layer is one butterfly call, +-1 matrix products on
+integer amplitudes whose partial sums never exceed 2^k <= 2^20; and the
+2k Hadamards leave a power-of-two scale that is divided out at the end.
+Batches are float32, exact below 2^24, unless a rotation fault adds an R
+stage (circuits._batch_dtype); run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Literal, Union
 
 import numpy as np
@@ -44,11 +45,13 @@ from .boolfunc import (
     to_parity_form,
 )
 from .circuits import (
+    _BATCH_AMPLITUDES,
     Circuit,
     Gate,
     _batch_dtype,
     _scale,
     _simulate_batch,
+    _stages,
     hadamard_layer,
     simulate_circuit,
 )
@@ -134,9 +137,9 @@ def _simulate(f: TruthTable, index, sign, fault: Fault | None = None) -> tuple[n
     _batch_dtype."""
     k = f.n + 1
     _check_cap("qubits", k, f"pipeline on {k} qubits")
-    gates = _gates(f, fault)
-    arr = np.empty((1 << k, len(index)), _batch_dtype(gates))
-    return arr, _simulate_batch(gates, index, sign, arr)
+    stages = _stages(_gates(f, fault))
+    arr = np.empty((1 << k, len(index)), _batch_dtype(stages))
+    return arr, _simulate_batch(stages, index, sign, arr)
 
 
 def _prediction(pf: ParityForm, index, sign):
@@ -230,33 +233,44 @@ class VerifyReport:
 def verify_all(n: int) -> VerifyReport:
     """Check run == predict for every admissible f and every signed basis input.
 
-    Each f simulates all 2^(n+1) signed inputs as the columns of one
-    batch, ordered x ascending with + before -, and compares the readout
-    of every column with the parity-form prediction.  All f share one
-    batch array, which the kernel fills and transforms in place: freeing
-    it per f let malloc shrink and regrow the heap each time in some heap
+    Each f's 2^(n+1) signed inputs, ordered x ascending with + before -,
+    are one group of columns in a batch, and a batch holds as many f as fit
+    in _BATCH_AMPLITUDES (4 at n = 6, one from n = 7), in the order of
+    iter_tables: its U stage holds one table per group, which the fill
+    applies as each group's phase.  The readout of every column is then
+    compared with its f's parity-form prediction.  All batches share one
+    array, which the kernel fills and transforms in place: freeing it per
+    batch let malloc shrink and regrow the heap each time in some heap
     layouts, and `verify 6` ran ~40 % slower.
     """
     _check_cap("verify", n, f"verify for n={n}")
     tables = iter_tables(n)  # checks n >= 1
     index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
     sign = np.tile([1, -1], 1 << n)
+    per = max(1, _BATCH_AMPLITUDES // ((2 << n) * index.size))  # functions per batch
+    layer = hadamard_layer(n + 1)
     report = VerifyReport(n, 0)
-    # Every f has the gate list of the zero function but for U's table, so its dtype.
-    arr = np.empty((2 << n, index.size), _batch_dtype(_gates(TruthTable(n, bytes(1 << n)), None)))
+    buf = None
 
     def ket(s, i) -> str:
         return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
 
-    for f in (TruthTable(n, table) for table in tables):
-        want_index, want_sign = _prediction(to_parity_form(f), index, sign)
-        h = _simulate_batch(_gates(f, None), index, sign, arr)
-        got_index, got_sign = read_basis_columns(_scale(arr, h))
-        report.total += index.size
-        for j in np.flatnonzero((got_index != want_index) | (got_sign != want_sign)):
-            got = ket(got_sign[j], got_index[j]) if got_sign[j] else "NotBasisState"
-            report.failures.append(
-                f"f={padded_hex(f)} x={ket(sign[j], index[j])} got={got} "
-                f"want={ket(want_sign[j], want_index[j])}"
-            )
+    while group := [TruthTable(n, table) for table in islice(tables, per)]:
+        stages = _stages(layer + (Gate("U", (n,), tuple(group)),) + layer)
+        size = (2 << n) * index.size * len(group)
+        if buf is None:  # the first batch is the widest
+            buf = np.empty(size, _batch_dtype(stages))
+        arr = buf[:size].reshape(2 << n, -1)
+        h = _simulate_batch(stages, np.tile(index, len(group)), np.tile(sign, len(group)), arr)
+        readout = read_basis_columns(_scale(arr, h))
+        got_index, got_sign = (a.reshape(len(group), -1) for a in readout)
+        report.total += arr.shape[1]
+        for f, f_index, f_sign in zip(group, got_index, got_sign):
+            want_index, want_sign = _prediction(to_parity_form(f), index, sign)
+            for j in np.flatnonzero((f_index != want_index) | (f_sign != want_sign)):
+                got = ket(f_sign[j], f_index[j]) if f_sign[j] else "NotBasisState"
+                report.failures.append(
+                    f"f={padded_hex(f)} x={ket(sign[j], index[j])} got={got} "
+                    f"want={ket(want_sign[j], want_index[j])}"
+                )
     return report

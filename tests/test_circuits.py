@@ -27,6 +27,7 @@ from symtest.circuits import (
     _batch_dtype,
     _scale,
     _simulate_batch,
+    _stages,
     assert_equivalent,
     compile_equivalent,
     hadamard_layer,
@@ -327,7 +328,8 @@ def test_kernel_covers_both_cnot_orders_and_h_parities():
 def _batch(gates, kets):
     """The kernel's normalized (2^k, B) output, one column per ket."""
     arr = np.empty((1 << kets[0].k, len(kets)))
-    return _scale(arr, _simulate_batch(gates, [k.index for k in kets], [k.sign for k in kets], arr))
+    h = _simulate_batch(_stages(gates), [k.index for k in kets], [k.sign for k in kets], arr)
+    return _scale(arr, h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,7 +343,7 @@ def test_repeated_h_wire_ends_a_run(data):
     gates = tuple(H(q) for q in wires + list(again))
     index = list(range(1 << k))
     arr = np.empty((1 << k, 1 << k))
-    assert _simulate_batch(gates, index, [1] * len(index), arr) == 2 * len(wires)
+    assert _simulate_batch(_stages(gates), index, [1] * len(index), arr) == 2 * len(wires)
     assert np.array_equal(arr, np.eye(1 << k) * 2.0 ** len(wires))
 
 
@@ -360,7 +362,7 @@ def test_h_runs_are_one_butterfly_call_per_wire_range():
         for gates, calls in ((gates, leading), ((X(0),) + gates, behind_x)):
             arr = np.empty((16, 1))
             with mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as spy:
-                h = _simulate_batch(gates, [5], [1], arr)
+                h = _simulate_batch(_stages(gates), [5], [1], arr)
             assert [c.args[1:] for c in spy.call_args_list] == calls
             assert h == sum(g.name == "H" for g in gates)
             want = dense_output(Circuit(4, gates), BasisKet(1, (0, 1, 0, 1)))
@@ -379,7 +381,7 @@ def test_fill_matches_one_hot_butterflies_bit_for_bit(data):
     sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
     wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(0, k))]
     arr = np.empty((1 << k, width))
-    assert _simulate_batch(tuple(H(q) for q in wires), index, sign, arr) == len(wires)
+    assert _simulate_batch(_stages(tuple(H(q) for q in wires)), index, sign, arr) == len(wires)
     want = np.zeros((1 << k, width))
     want[index, np.arange(width)] = sign
     for q in wires:
@@ -417,9 +419,72 @@ def test_kickback_fill_is_the_fill_then_the_u_gather_bit_for_bit(data):
         assert circuits._fill(want, index, sign, lead) == len(lead)
         circuits._permute(want, [u])
         with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
-            assert _simulate_batch(tuple(H(q) for q in lead) + (u,), index, sign, got) == len(lead)
+            stages = _stages(tuple(H(q) for q in lead) + (u,))
+            assert _simulate_batch(stages, index, sign, got) == len(lead)
     assert spy.call_count == 0
     assert np.array_equal(got.view(view), want.view(view))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_u_of_g_tables_is_g_single_table_runs_on_the_column_groups(data):
+    # A U that holds g tables gives each consecutive group of columns the
+    # bytes of the kernel run with that group's table alone, whatever the
+    # tables, ancilla bits, leading run and chunk size.
+    n = data.draw(hyp.integers(1, 8))
+    g = data.draw(hyp.integers(1, 5))
+    width = data.draw(hyp.integers(1, 4))  # columns per group
+    table = hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)
+    tables = tuple(TruthTable(n, data.draw(table)) for _ in range(g))
+    kets = data.draw(hyp.lists(kets_on(n + 1), min_size=g * width, max_size=g * width))
+    index, sign = [k.index for k in kets], [k.sign for k in kets]
+    lead = data.draw(hyp.permutations(range(n)))[: data.draw(hyp.integers(0, n))]
+    lead.insert(data.draw(hyp.integers(0, len(lead))), n)
+    lead = tuple(H(q) for q in lead)
+    rest = data.draw(hyp.sampled_from([(), hadamard_layer(n + 1)]))
+    chunk = data.draw(hyp.sampled_from([16, 64, statevec._CHUNK]))  # butterfly needs 16
+    got = np.empty((2 << n, g * width), np.float32)
+    want = np.empty_like(got)
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        h = _simulate_batch(_stages(lead + (Gate("U", (n,), tables),) + rest), index, sign, got)
+        for i, f in enumerate(tables):
+            cols = slice(i * width, (i + 1) * width)
+            part = np.empty((2 << n, width), np.float32)
+            stages = _stages(lead + (Gate("U", (n,), f),) + rest)
+            assert _simulate_batch(stages, index[cols], sign[cols], part) == h
+            want[:, cols] = part
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_u_takes_a_non_empty_tuple_of_tables_on_its_wire():
+    pair = (tt("0110"), tt("1001"))
+    assert Gate("U", (2,), pair).arg == pair
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        Gate("U", (2,), ())
+    with pytest.raises(ValueError, match="U takes a TruthTable, got str"):
+        Gate("U", (2,), (tt("0110"), "1001"))
+    with pytest.raises(ValueError, match="U of an n=3 table targets wire 3"):
+        Gate("U", (2,), (tt("0110"), tt("01101001")))
+    with pytest.raises(ValueError, match="last of the 4 wires"):
+        Circuit(4, (Gate("U", (2,), pair),))
+
+
+def test_u_of_g_tables_needs_g_column_groups_and_the_fill():
+    # The columns must split into one group per table; and only the fill
+    # applies such a U, so after a skipped ancilla H or a first-layer
+    # rotation it is refused before any row gather.
+    tables = (tt("0110"), tt("1000"), tt("0011"))
+    u = Gate("U", (2,), tables)
+    layer = hadamard_layer(3)
+    with pytest.raises(ValueError, match="4 columns do not split into 3 groups"):
+        circuits._fill(np.empty((8, 4)), [1] * 4, [1] * 4, [0, 1, 2], tables)
+    with pytest.raises(ValueError, match="4 columns do not split into 3 groups"):
+        _simulate_batch(_stages(layer + (u,) + layer), [1] * 4, [1] * 4, np.empty((8, 4)))
+    for gates in (layer[:2] + (u,) + layer, layer + (Gate("R", (0,), 0.4), u) + layer):
+        with mock.patch.object(circuits, "_permute") as spy:
+            with pytest.raises(ValueError, match="tuple of tables must follow"):
+                _simulate_batch(_stages(gates), [1, 3, 5], [1] * 3, np.empty((8, 3)))
+        assert spy.call_count == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,7 +495,8 @@ def test_pipeline_fill_and_u_match_the_oracle_on_a_hadamard_state(data):
     f = TruthTable(n, data.draw(hyp.lists(hyp.integers(0, 1), min_size=1 << n, max_size=1 << n)))
     ket = data.draw(kets_on(n + 1))
     arr = np.empty((2 << n, 1))
-    h = _simulate_batch(hadamard_layer(n + 1) + (Gate("U", (n,), f),), [ket.index], [ket.sign], arr)
+    stages = _stages(hadamard_layer(n + 1) + (Gate("U", (n,), f),))
+    h = _simulate_batch(stages, [ket.index], [ket.sign], arr)
     want = QuantumOracle(f).apply(hadamard_all(ket_to_vector(ket))).amplitudes
     assert np.allclose(_scale(arr, h)[:, 0], want, rtol=0, atol=1e-12)
 
@@ -678,7 +744,7 @@ def test_permutation_memory_at_20_wires(gates):
     arr = np.empty((1 << 20, 1))
     tracemalloc.start()
     try:
-        _simulate_batch(gates, [ket.index], [1], arr)
+        _simulate_batch(_stages(gates), [ket.index], [1], arr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -711,18 +777,18 @@ def test_hadamard_layer_at_20_wires_is_one_state():
 def test_batch_dtype_admits_24_hadamards_after_the_fill():
     # The fill's leading run does not count; a wire it repeats ends the run.
     for lead in ((), hadamard_layer(3), (H(1), H(0))):
-        assert _batch_dtype(lead + (X(2),) + (H(0),) * 24) == np.float32
-        assert _batch_dtype(lead + (X(2),) + (H(0),) * 25) == np.float64
-    assert _batch_dtype(hadamard_layer(20) + (H(5),) * 24) == np.float32
-    assert _batch_dtype((H(0), H(0)) + (H(1),) * 23) == np.float32
-    assert _batch_dtype((H(0), H(0)) + (H(1),) * 24) == np.float64
-    assert _batch_dtype(()) == np.float32
+        assert _batch_dtype(_stages(lead + (X(2),) + (H(0),) * 24)) == np.float32
+        assert _batch_dtype(_stages(lead + (X(2),) + (H(0),) * 25)) == np.float64
+    assert _batch_dtype(_stages(hadamard_layer(20) + (H(5),) * 24)) == np.float32
+    assert _batch_dtype(_stages((H(0), H(0)) + (H(1),) * 23)) == np.float32
+    assert _batch_dtype(_stages((H(0), H(0)) + (H(1),) * 24)) == np.float64
+    assert _batch_dtype(_stages(())) == np.float32
 
 
 def test_batch_dtype_gives_float64_to_any_rotation():
     r = Gate("R", (1,), 0.0)
     for gates in ((r,), (r,) + hadamard_layer(3), hadamard_layer(3) + (r,), (X(0), r, H(2))):
-        assert _batch_dtype(gates) == np.float64
+        assert _batch_dtype(_stages(gates)) == np.float64
 
 
 @hyp.composite
@@ -753,14 +819,14 @@ def test_float32_batch_is_bit_identical_to_float64(data):
     # bit, odd H counts (scaled in float64) and both global signs included.
     k = data.draw(hyp.integers(1, 10))
     gates = data.draw(float32_gate_lists(k))
-    assert _batch_dtype(gates) == np.float32
+    assert _batch_dtype(_stages(gates)) == np.float32
     kets = data.draw(hyp.lists(kets_on(k), min_size=1, max_size=6))
     index, sign = [ket.index for ket in kets], [ket.sign for ket in kets]
     global_sign = data.draw(hyp.sampled_from([1, -1]))
     out = []
     for dtype in (np.float32, np.float64):
         arr = np.empty((1 << k, len(kets)), dtype)
-        out.append(_scale(arr, _simulate_batch(gates, index, sign, arr), global_sign))
+        out.append(_scale(arr, _simulate_batch(_stages(gates), index, sign, arr), global_sign))
     narrow, wide = out
     assert wide.dtype == np.float64
     assert np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
@@ -779,5 +845,5 @@ def test_float32_equivalence_verdicts_equal_float64(data):
     tol = data.draw(hyp.sampled_from([0.0, 1e-9, 0.3]))
     kets = data.draw(hyp.lists(kets_on(k), max_size=12))
     got = assert_equivalent(a, b, tol, kets)
-    with mock.patch.object(circuits, "_batch_dtype", lambda gates: np.float64):
+    with mock.patch.object(circuits, "_batch_dtype", lambda stages: np.float64):
         assert assert_equivalent(a, b, tol, kets) == got

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from difflib import SequenceMatcher
-from itertools import product
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,8 @@ from symtest.boolfunc import (
     generate_functions,
     hex_decode,
     is_admissible,
+    iter_tables,
+    padded_hex,
 )
 from symtest.circuits import Gate, H, _scale
 from symtest.pipeline import (
@@ -196,16 +198,23 @@ def test_verify_all_reports_disagreement(monkeypatch):
     assert report.render() == "\n".join(report.failures + ["FAIL 8/64"])
 
 
+def _swap_u_tables(monkeypatch, swap):
+    """Make each U gate that verify_all builds hold swap.get(t, t) for
+    each of its tables t, while the predictor still reads the true f."""
+    real = pipeline.Gate
+
+    def gate(name, qubits, arg=None):
+        if name == "U":
+            arg = tuple(swap.get(t, t) for t in arg)
+        return real(name, qubits, arg)
+
+    monkeypatch.setattr(pipeline, "Gate", gate)
+
+
 def test_verify_all_reports_non_basis_output(monkeypatch):
     # The U stage of f = 1001 holds the AND table 0001 instead, so no
     # column of that f reads out as a basis state.
-    real = pipeline._gates
-
-    def gates(f, fault):
-        wrong = Gate("U", (2,), tt("0001"))
-        return tuple(wrong if f == tt("1001") and g.name == "U" else g for g in real(f, fault))
-
-    monkeypatch.setattr(pipeline, "_gates", gates)
+    _swap_u_tables(monkeypatch, {tt("1001"): tt("0001")})
     report = verify_all(2)
     assert report.failures == [
         "f=9 x=+001 got=NotBasisState want=-111",
@@ -218,6 +227,31 @@ def test_verify_all_reports_non_basis_output(monkeypatch):
         "f=9 x=-111 got=NotBasisState want=+001",
     ]
     assert report.render().splitlines()[-1] == "FAIL 8/64"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_all_renders_one_pass_line(n):
+    total = 4 << (2 * n)
+    assert verify_all(n).render() == f"PASS {total}/{total}"
+
+
+def test_verify_all_groups_4_functions_per_batch_at_6(monkeypatch):
+    # The 4th and 5th f, the last of one batch and the first of the next,
+    # trade U tables: exactly their 2 x 128 lines fail, each column read
+    # against the other's prediction, in f and then input order.
+    tables = [TruthTable(6, t) for t in islice(iter_tables(6), 5)]
+    f4, f5 = tables[3], tables[4]
+    _swap_u_tables(monkeypatch, {f4: f5, f5: f4})
+    with mock.patch.object(pipeline, "_simulate_batch", wraps=pipeline._simulate_batch) as spy:
+        report = verify_all(6)
+    assert [c.args[3].shape for c in spy.call_args_list] == [(128, 512)] * 32
+    want = [
+        f"f={padded_hex(f)} x={ket} got={predict(other, ket).output} want={predict(f, ket).output}"
+        for f, other in ((f4, f5), (f5, f4))
+        for ket in signed_inputs(6)
+    ]
+    assert report.failures == want
+    assert report.render().splitlines()[-1] == "FAIL 256/16384"
 
 
 def _random_inputs(data, n, count):
@@ -635,7 +669,7 @@ def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
 
 def _float64_only():
     """Run the pipeline's batches in float64 whatever the gate list."""
-    return mock.patch.object(pipeline, "_batch_dtype", lambda gates: np.float64)
+    return mock.patch.object(pipeline, "_batch_dtype", lambda stages: np.float64)
 
 
 def _outcome(call):
