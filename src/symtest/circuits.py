@@ -35,8 +35,8 @@ applied once at the end, so a circuit with an even number of H gates is
 simulated exactly.  Read-out batches are float32 when _batch_dtype
 allows, else float64; simulate_circuit keeps float64.  assert_equivalent
 reads its inputs in chunks of at most 2^16 amplitudes (16 columns at 12
-wires), simulated into reused buffers, so its memory stays bounded
-however many inputs it checks.
+wires), simulated into one reused buffer per circuit in that circuit's
+dtype, so its memory stays bounded however many inputs it checks.
 """
 
 import functools
@@ -51,12 +51,12 @@ import numpy as np
 from . import statevec
 from .bitops import _check_cap
 from .boolfunc import TruthTable, to_parity_form
-from .statevec import BasisKet, StateVector, _apply, butterfly, check_state_columns, check_tolerance
+from .statevec import BasisKet, StateVector, _apply, butterfly, check_tolerance
 
-# Amplitudes per batch in assert_equivalent, 512 KB of float64 for each
-# circuit and 256 KB of float32 for a circuit simulated in float32: 16 input
-# columns at 12 wires and fewer at more, so its memory is bounded for any
-# wire count.  At 12 wires, 4 columns ran 1.7x slower, and 32 no faster.
+# Amplitudes per batch in assert_equivalent, 256 KB of float32 or 512 KB of
+# float64 for each circuit: 16 input columns at 12 wires and fewer at more,
+# so its memory is bounded for any wire count.  At 12 wires, 4 columns ran
+# 1.7x slower, and 32 no faster.
 _BATCH_AMPLITUDES = 1 << 16
 
 # (-1)^c for c = 0, 1; the fill takes it at a popcount c, wrapped mod 2.
@@ -171,13 +171,11 @@ def pipeline_as_circuit(f: TruthTable) -> Circuit:
     return Circuit(f.n + 1, layer + oracle_as_cnots(f).gates + layer)
 
 
-def _hadamards(arr: np.ndarray, wires: list[int]) -> int:
-    """H on each of the distinct `wires`, one butterfly call per contiguous
-    range of them; returns the number of H gates applied."""
+def _hadamards(arr: np.ndarray, wires: list[int]) -> None:
+    """H on each of the distinct `wires`, one butterfly call per contiguous range of them."""
     for _, run in groupby(enumerate(sorted(wires)), lambda pair: pair[1] - pair[0]):
         run = list(run)
         butterfly(arr, run[0][1], len(run))
-    return len(wires)
 
 
 def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
@@ -272,10 +270,9 @@ def _fill(
     sign,
     wires: list[int],
     u: TruthTable | tuple[TruthTable, ...] | None = None,
-) -> int:
+) -> None:
     """Fill the C-contiguous (2^k, B) array `arr` with the unnormalized
-    columns H^(x)W sign[j] |index[j]>, W the distinct `wires`, and return
-    the number of H gates, len(W).
+    columns H^(x)W sign[j] |index[j]>, W the distinct `wires`.
 
     Column j is sign[j] * (-1)^|r & x & W| in each row r that agrees with
     x = index[j] off W, and 0 elsewhere (Bernstein-Vazirani).  That factors
@@ -296,7 +293,7 @@ def _fill(
     if not wires:
         arr.fill(0.0)
         arr[index, np.arange(len(index))] = sign
-        return 0
+        return
     k = len(arr).bit_length() - 1
     x = np.asarray(index, dtype=np.int64)
     w = sum(1 << (k - 1 - q) for q in wires)  # wire 0 is the most significant bit
@@ -329,7 +326,6 @@ def _fill(
             p = np.bitwise_xor(m[:c], p, out=phase[:c])
             np.subtract(p, m[:c], out=p)
         np.multiply(p, low, out=out[h : h + step])
-    return len(wires)
 
 
 def _stages(gates: Sequence[Gate]) -> list[tuple[str, list]]:
@@ -348,13 +344,11 @@ def _stages(gates: Sequence[Gate]) -> list[tuple[str, list]]:
     return stages
 
 
-def _apply_stages(stages: Iterable[tuple[str, list]], arr: np.ndarray) -> int:
-    """Apply the stages of a plan in place to the C-contiguous (2^k, B) array
-    `arr` and return the number h of H gates applied."""
-    h = 0
+def _apply_stages(stages: Iterable[tuple[str, list]], arr: np.ndarray) -> None:
+    """Apply the stages of a plan in place to the C-contiguous (2^k, B) array `arr`."""
     for kind, items in stages:
         if kind == "H":
-            h += _hadamards(arr, items)
+            _hadamards(arr, items)
         elif kind == "R":
             c, s = math.cos(items[0].arg), math.sin(items[0].arg)
             _apply(arr, items[0].qubits[0], np.array([[c, -s], [s, c]]))
@@ -362,7 +356,6 @@ def _apply_stages(stages: Iterable[tuple[str, list]], arr: np.ndarray) -> int:
             # A row gather; for U 3.8-7.0 ms at n = 19 in float64, where butterfly,
             # phase, butterfly on the ancilla took 7.3-11.3 ms (2 vCPUs).
             _permute(arr, items)
-    return h
 
 
 def _batch_dtype(stages: list[tuple[str, list]]) -> type:
@@ -377,8 +370,8 @@ def _batch_dtype(stages: list[tuple[str, list]]) -> type:
 
 def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray) -> int:
     """Simulate a plan of _stages on the columns sign[j] * |index[j]> of the
-    C-contiguous (2^k, B) array `arr`, in place, and return the number h of
-    H gates applied; _scale then normalizes the batch.
+    C-contiguous (2^k, B) array `arr`, in place, and return the plan's number
+    h of H gates; _scale then normalizes the batch.
 
     The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
     holds (phase kickback); _apply_stages applies the rest, which may hold
@@ -388,8 +381,9 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     kick = len(stages) > 1 and stages[1][0] == "U" and stages[1][1][0].qubits[0] in lead
     if any(kind == "U" and isinstance(items[0].arg, tuple) for kind, items in stages[1 + kick :]):
         raise ValueError("a U of a tuple of tables must follow a leading H run that holds its wire")
-    h = _fill(arr, index, sign, lead, stages[1][1][0].arg if kick else None)
-    return h + _apply_stages(stages[1 + kick :], arr)
+    _fill(arr, index, sign, lead, stages[1][1][0].arg if kick else None)
+    _apply_stages(stages[1 + kick :], arr)
+    return sum(len(items) for kind, items in stages if kind == "H")
 
 
 def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
@@ -435,11 +429,12 @@ def assert_equivalent(
     """True iff both circuits produce the same vector on every given basis
     input (all of them by default).
 
-    Each circuit is planned once.  Inputs are simulated as the columns of
-    two reused float64 batches of at most _BATCH_AMPLITUDES amplitudes
-    (through a float32 one when _batch_dtype allows), and the check stops at
-    the first batch that differs; a ket of the wrong width raises ValueError
-    when its batch is read.
+    Each circuit is planned once and simulated into one reused batch of at
+    most _BATCH_AMPLITUDES amplitudes in its _batch_dtype, and the check
+    stops at the first batch that differs; a ket of the wrong width raises
+    ValueError when its batch is read.  A float32 batch holds multiples of
+    2^-18 within 1 at the equiv cap, so its difference is exact, and against
+    a float64 batch it upcasts exactly.
     """
     if a.wires != b.wires:
         raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
@@ -450,22 +445,17 @@ def assert_equivalent(
     inputs = iter(inputs)
     columns = max(1, _BATCH_AMPLITUDES >> a.wires)
     plans = [_stages(c.gates) for c in (a, b)]
-    dtypes = [_batch_dtype(stages) for stages in plans]
     work = None
     while chunk := list(islice(inputs, columns)):
         index, sign = _columns(chunk, a.wires)
         size = (1 << a.wires) * len(chunk)
         if work is None:  # the first chunk is the widest
-            work = (np.empty(size), np.empty(size), np.empty(size, np.float32))
-        va, vb, small = (w[:size].reshape(-1, len(chunk)) for w in work)
-        for c, stages, dtype, out in zip((a, b), plans, dtypes, (va, vb)):
-            arr = small if dtype == np.float32 else out
-            arr = _scale(arr, _simulate_batch(stages, index, sign, arr), c.global_sign)
-            if arr is not out:
-                np.copyto(out, arr)
-        check_state_columns(va)
-        check_state_columns(vb)
-        va -= vb
-        if not np.abs(va, out=va).max() <= tol:
+            work = [np.empty(size, _batch_dtype(stages)) for stages in plans]
+        va, vb = (
+            _scale(v, _simulate_batch(stages, index, sign, v), c.global_sign)
+            for c, stages, v in zip((a, b), plans, (w[:size].reshape(-1, len(chunk)) for w in work))
+        )
+        diff = np.subtract(va, vb, out=va if va.itemsize >= vb.itemsize else vb)
+        if not float(np.abs(diff, out=diff).max()) <= tol:  # compared in float64, as tol is
             return False
     return True

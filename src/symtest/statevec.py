@@ -102,27 +102,17 @@ class StateVector:
     def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-        check_state_columns(arr[:, None])
+        norm = np.sqrt(np.einsum("i,i->", arr, arr))
+        if not np.isfinite(norm) and not (finite := np.isfinite(arr)).all():
+            raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
+        if abs(norm - 1.0) > _NORM_TOLERANCE:
+            raise ValueError(f"state vector norm {norm} differs from 1 by more than {_NORM_TOLERANCE}")
         arr.flags.writeable = False
         self.k = arr.size.bit_length() - 1
         self.amplitudes = arr
 
     def __repr__(self) -> str:
         return f"StateVector(k={self.k}, {format_vector(self)})"
-
-
-def check_state_columns(arr: np.ndarray) -> None:
-    """Raise ValueError unless every column of a (2^k, B) batch is a finite
-    unit vector; the checks StateVector makes, one column at a time."""
-    norms = np.sqrt(np.einsum("ij,ij->j", arr, arr, dtype=np.float64))
-    if not np.isfinite(norms).all():
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ValueError(f"state vector amplitudes must be finite, got {arr[~finite][0]}")
-    bad = np.abs(norms - 1.0) > _NORM_TOLERANCE
-    if bad.any():
-        norm = norms[bad][0]
-        raise ValueError(f"state vector norm {norm} differs from 1 by more than {_NORM_TOLERANCE}")
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -199,9 +189,9 @@ def butterfly(arr: np.ndarray, qubit: int, count: int = 1) -> None:
 def _apply(arr: np.ndarray, lo: int, matrix: np.ndarray) -> None:
     """Multiply the m wires from `lo` of a C-contiguous array in place by a real
     2^m x 2^m matrix, through a scratch of at most _CHUNK amplitudes of the
-    array's dtype per call."""
+    array's dtype per call, but at least 2^m."""
     size = len(matrix)
-    scratch = np.empty(min(arr.size, _CHUNK), arr.dtype)
+    scratch = np.empty(max(size, min(arr.size, _CHUNK)), arr.dtype)
     view = arr.reshape(1 << lo, size, -1)
     if view.shape[2] == 1:
         # The block ends at the last wire of one column: multiply its rows from the right.

@@ -15,6 +15,7 @@ from symtest.boolfunc import (
     TruthTable,
     from_parity_form,
     generate_functions,
+    hex_decode,
 )
 from symtest import circuits, statevec
 from symtest.circuits import (
@@ -178,6 +179,14 @@ def test_assert_equivalent_detects_difference():
     a = Circuit(2, (X(0),))
     b = Circuit(2, (X(1),))
     assert not assert_equivalent(a, b)
+
+
+def test_float32_difference_meets_the_tolerance_in_float64():
+    # Both batches are float32, and their difference is 1: a tolerance one
+    # float64 step below 1 is 1 in float32, so it must be compared in float64.
+    a, b = Circuit(1, (X(0),)), Circuit(1)
+    assert assert_equivalent(a, b, 1.0, [parse_ket("+0")])
+    assert not assert_equivalent(a, b, math.nextafter(1.0, 0), [parse_ket("+0")])
 
 
 def test_x_gates_commute():
@@ -416,7 +425,7 @@ def test_kickback_fill_is_the_fill_then_the_u_gather_bit_for_bit(data):
     chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
     want, got = np.empty((1 << k, width), dtype), np.empty((1 << k, width), dtype)
     with mock.patch.object(statevec, "_CHUNK", chunk):
-        assert circuits._fill(want, index, sign, lead) == len(lead)
+        circuits._fill(want, index, sign, lead)
         circuits._permute(want, [u])
         with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
             stages = _stages(tuple(H(q) for q in lead) + (u,))
@@ -442,7 +451,7 @@ def test_u_of_g_tables_is_g_single_table_runs_on_the_column_groups(data):
     lead.insert(data.draw(hyp.integers(0, len(lead))), n)
     lead = tuple(H(q) for q in lead)
     rest = data.draw(hyp.sampled_from([(), hadamard_layer(n + 1)]))
-    chunk = data.draw(hyp.sampled_from([16, 64, statevec._CHUNK]))  # butterfly needs 16
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
     got = np.empty((2 << n, g * width), np.float32)
     want = np.empty_like(got)
     with mock.patch.object(statevec, "_CHUNK", chunk):
@@ -606,18 +615,22 @@ def test_wrong_width_ket_in_later_chunk():
 
 
 def test_equivalence_memory_is_bounded():
-    # n = 11: 2,048 inputs of 12 wires; the batches keep the peak near two
-    # (4096, chunk) buffers however many inputs there are.
-    f = from_parity_form(ParityForm(11, (1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1), 1))
-    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
-    tracemalloc.start()
-    try:
-        ok = assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ok
-    assert peak < 2 * 1024 * 1024
+    # n = 11: 2,048 inputs of 12 wires; the peak stays near one (4096, 16)
+    # batch per circuit however many inputs there are.  Both circuits plan
+    # float32, so the two batches are 512 KiB.
+    for f in (
+        from_parity_form(ParityForm(11, (1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1), 1)),
+        hex_decode("0x" + "69" * 256),  # the benchmark's equiv op
+    ):
+        wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+        tracemalloc.start()
+        try:
+            ok = assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 1.2 * 1024 * 1024, peak
 
 
 def _permutation_matrix(g, k):
@@ -680,7 +693,7 @@ def test_permutation_runs_match_dense_permutations(data):
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
         want = want[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
     with mock.patch.object(statevec, "_CHUNK", chunk):
-        assert circuits._apply_stages(circuits._stages(gates)[1:], arr) == 0
+        circuits._apply_stages(circuits._stages(gates)[1:], arr)
     assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
 
 
@@ -836,14 +849,24 @@ def test_float32_batch_is_bit_identical_to_float64(data):
 @given(hyp.data())
 def test_float32_equivalence_verdicts_equal_float64(data):
     k = data.draw(hyp.integers(1, 8))
+    # b is a with a gate pair (a's unitary, maybe past 24 H), a with R by 0.0
+    # (a's unitary in a float64 plan, so float32 meets float64), or any list.
     a = Circuit(k, data.draw(float32_gate_lists(k)), data.draw(hyp.sampled_from([1, -1])))
-    if data.draw(hyp.booleans()):
+    kind = data.draw(hyp.sampled_from(["pair", "rotation", "other"]))
+    if kind == "pair":
         pair = data.draw(float32_gate_lists(k))[:1] * 2
         b = Circuit(k, a.gates + pair, a.global_sign)
+    elif kind == "rotation":
+        rotation = Gate("R", (data.draw(hyp.integers(0, k - 1)),), 0.0)
+        b = Circuit(k, a.gates + (rotation,), a.global_sign)
     else:
         b = Circuit(k, data.draw(float32_gate_lists(k)), data.draw(hyp.sampled_from([1, -1])))
-    tol = data.draw(hyp.sampled_from([0.0, 1e-9, 0.3]))
     kets = data.draw(hyp.lists(kets_on(k), max_size=12))
+    # The largest difference, in float64: the verdict flips between it and the float below it.
+    diffs = (simulate_circuit(a, x).amplitudes - simulate_circuit(b, x).amplitudes for x in kets)
+    d = max((float(np.abs(v).max()) for v in diffs), default=0.0)
+    tol = data.draw(hyp.sampled_from([0.0, 1e-9, 0.3, d, math.nextafter(d, 0)]))
     got = assert_equivalent(a, b, tol, kets)
+    assert got == (d <= tol)
     with mock.patch.object(circuits, "_batch_dtype", lambda stages: np.float64):
         assert assert_equivalent(a, b, tol, kets) == got
