@@ -38,9 +38,9 @@ class CapError(ValueError):
 CAPS = {
     "n": 20,  # table variables: 2^n bytes, 1 MiB at 20, where hex decode + classify take 5 ms
     "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 16 ms
-    "equiv": 12,  # 2^(k-1) inputs of 2^k amplitudes: equiv takes 0.07-0.10 s at 12, 0.3-0.5 s at 13
+    "equiv": 12,  # 2^(k-1) inputs of 2^k amplitudes: equiv 0.05-0.08 s at 12, 0.23-0.35 s at 13
     "matrix": 12,  # 4^k one-byte entries: 16 MiB and 32 MiB of text at 12, 4x per qubit more
-    "verify": 8,  # 4^(n+1) pipelines: 0.013 s at 6, 0.09 s at 7, 0.57 s at 8, 5.7 s at 9
+    "verify": 8,  # 4^(n+1) pipelines: 0.09-0.10 s at 7, 0.45-0.81 s at 8, 4.3-6.4 s at 9
     "chart": 6,  # 2^n rows of 2^n cells: 33 KB of text at 6, 4x per n more
     "listing": 64 << 20,  # gen's bytes, 4x per n: 49.7 MiB (0.45 s) at n = 12, 198.7 at 13
 }

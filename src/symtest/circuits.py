@@ -26,11 +26,13 @@ small +-1/0 factors (a one-hot scatter when it is empty), and a U in
 stage 1 whose ancilla stage 0 holds as the phase (-1)^(f(t) a) on rows
 2t, 2t+1, a the column's ancilla bit (phase kickback).  Such a U alone
 may hold a tuple of g tables, one for each of g consecutive, equal
-groups of columns, so that one pass simulates g functions.  Each later H
-stage is one butterfly call per contiguous wire range (blocked +-1
-matrix products, exact on integer amplitudes below 2^24 in float32), an
-X/CNOT stage or a U one in-place row gather a chunk at a time (pure
-copies, so exact), R a 2 x 2 block product, and the Hadamard scale is
+groups of columns, so that one pass simulates g functions.  After an
+empty stage 0 the fill moves each one-hot index through an X/CNOT stage 1.
+Each later H stage is one butterfly call per contiguous wire range
+(blocked +-1 matrix products, exact on integer amplitudes below 2^24 in
+float32), an X/CNOT stage or a U one in-place row gather a chunk at a time
+(pure copies, so exact; an X/CNOT run's affine row map is built once per
+run and chunk size), R a 2 x 2 block product, and the Hadamard scale is
 applied once at the end, so a circuit with an even number of H gates is
 simulated exactly.  Read-out batches are float32 when _batch_dtype
 allows, else float64; simulate_circuit keeps float64.  assert_equivalent
@@ -178,11 +180,11 @@ def _hadamards(arr: np.ndarray, wires: list[int]) -> None:
         butterfly(arr, run[0][1], len(run))
 
 
-def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
-    """Map the consecutive rows in `idx`, an even number of them, in place to
-    their preimages under a run of X and CNOT gates, or under one U gate, on
-    k wires: each gate is its own inverse, so the run is undone from its
-    end.  `tmp` and `bits` are scratch."""
+def _unpermute(gates: Sequence[Gate], k: int, idx, tmp, bits) -> None:
+    """Map the rows in `idx` in place to their preimages under a run of X and
+    CNOT gates, or one U gate (on an even number of consecutive rows), on k
+    wires: each gate is its own inverse, so the run is undone from its end,
+    and a reversed run maps rows to images.  `tmp` and `bits` are scratch."""
     for g in reversed(gates):
         pos = [k - 1 - q for q in g.qubits]  # wire 0 is the most significant bit
         if g.name == "X":  # x ^= bit(q)
@@ -199,18 +201,34 @@ def _unpermute(gates: list[Gate], k: int, idx, tmp, bits) -> None:
             np.bitwise_xor(idx, bits, out=idx)
 
 
+@functools.lru_cache(maxsize=4)  # each entry holds at most 64 KB of row map
+def _row_map(gates: tuple[Gate, ...], k: int, low: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """sigma^-1 of an X/CNOT run on k wires, for chunks of 2^low rows that each
+    draw from one source chunk: it is affine over GF(2), so row r of chunk j
+    comes from row starts[j] ^ base[r], starts[j] = sigma^-1(j << low) and
+    the read-only base[r] = sigma^-1(r) ^ sigma^-1(0) < 2^low."""
+    base, starts = np.arange(1 << low), np.arange(0, 1 << k, 1 << low)
+    for idx in (base, starts):
+        _unpermute(gates, k, idx, np.empty_like(idx), None)
+    base ^= base[0]
+    base.flags.writeable = False
+    return base, tuple(starts.tolist())
+
+
 def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     """Apply a run of X and CNOT gates, or one U gate, to the rows of the
     C-contiguous (2^k, B) array `arr` in place, as one row gather: row i of
     the result is row sigma^-1(i), sigma the run's permutation of basis states.
 
     Rows move in chunks of at most _CHUNK amplitudes and _CHUNK / 4 rows,
-    but at least two rows, through buffers allocated once per call: a row
-    also takes up to 25 bytes of index scratch.  sigma changes only target
-    bits, so a chunk draws its rows from one source chunk, and chunks move
-    along the cycles of that map with one chunk held aside.  A CNOT with its
-    target above the chunk and its control inside breaks that rule; it is
-    applied alone, as a masked exchange of chunk pairs through the held chunk.
+    but at least two rows, through buffers allocated once per call.  sigma
+    changes only target bits, so a chunk draws its rows from one source
+    chunk, and chunks move along the cycles of that map with one chunk held
+    aside.  A chunk costs one XOR and one take on an X/CNOT run's cached
+    _row_map; a U, not affine, maps its rows through its slice of the table.
+    A CNOT with its target above the chunk and its control inside breaks
+    that rule; it is applied alone, as a masked exchange of chunk pairs
+    through the held chunk.
     """
     k = len(arr).bit_length() - 1
     low = min(k, max(2, statevec._CHUNK // max(4, arr.shape[1])).bit_length() - 1)  # row bits in a chunk
@@ -223,7 +241,7 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
         return g.name == "CNOT" and k - 1 - g.qubits[1] >= low > k - 1 - g.qubits[0]
 
     for split, part in groupby(gates, splits):
-        part = list(part)
+        part = tuple(part)
         if split:
             for g in part:
                 # Rows with the control set trade places with the same rows of the partner chunk.
@@ -236,6 +254,7 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
                         np.copyto(chunks[j], chunks[j | step], where=mask)
                         np.copyto(chunks[j | step], held, where=mask)
             continue
+        base, starts = (None, None) if part[0].name == "U" else _row_map(part, k, low)
         moved = [False] * len(chunks)
         for first in range(len(chunks)):
             if moved[first]:
@@ -244,10 +263,14 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
             j = first
             while not moved[j]:
                 moved[j] = True
-                np.add(rows, j << low, out=idx)
-                _unpermute(part, k, idx, tmp, bits)
-                source = int(idx[0]) >> low  # all of chunk j's rows come from this chunk
-                np.bitwise_and(idx, len(rows) - 1, out=idx)
+                if base is None:  # U moves rows only within their pair, so within the chunk
+                    np.add(rows, j << low, out=idx)
+                    _unpermute(part, k, idx, tmp, bits)
+                    np.bitwise_and(idx, len(rows) - 1, out=idx)
+                    source = j
+                else:
+                    np.bitwise_xor(base, starts[j] & (len(rows) - 1), out=idx)
+                    source = starts[j] >> low
                 origin = held if source == first else chunks[source]
                 np.take(origin, idx, axis=0, out=chunks[j], mode="clip")
                 j = source
@@ -374,15 +397,22 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     h of H gates; _scale then normalizes the batch.
 
     The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
-    holds (phase kickback); _apply_stages applies the rest, which may hold
-    no U of a tuple of tables.
+    holds (phase kickback), or after an empty stage 0 an X/CNOT stage 1 as
+    sigma of each one-hot index, with no row gather; _apply_stages applies
+    the rest, which may hold no U of a tuple of tables.
     """
     lead = stages[0][1]
-    kick = len(stages) > 1 and stages[1][0] == "U" and stages[1][1][0].qubits[0] in lead
-    if any(kind == "U" and isinstance(items[0].arg, tuple) for kind, items in stages[1 + kick :]):
+    kind, items = stages[1] if len(stages) > 1 else (None, [])
+    kick = kind == "U" and items[0].qubits[0] in lead
+    move = kind == "P" and not lead
+    done = 1 + (kick or move)
+    if any(s == "U" and isinstance(g[0].arg, tuple) for s, g in stages[done:]):
         raise ValueError("a U of a tuple of tables must follow a leading H run that holds its wire")
-    _fill(arr, index, sign, lead, stages[1][1][0].arg if kick else None)
-    _apply_stages(stages[1 + kick :], arr)
+    if move:  # sigma of each one-hot column's index: the run reversed maps rows to their images
+        index = np.array(index, np.int64)
+        _unpermute(items[::-1], len(arr).bit_length() - 1, index, np.empty_like(index), None)
+    _fill(arr, index, sign, lead, items[0].arg if kick else None)
+    _apply_stages(stages[done:], arr)
     return sum(len(items) for kind, items in stages if kind == "H")
 
 

@@ -633,6 +633,24 @@ def test_equivalence_memory_is_bounded():
         assert peak < 1.2 * 1024 * 1024, peak
 
 
+def test_equivalence_maps_each_permutation_once():
+    # n = 11: 128 batches of 16 inputs.  The pipeline's CNOT run gets one row
+    # map for all of them, 2,048 rows and 2 chunk starts, and the compiled
+    # circuit's X run moves the 16 indices of each batch with no row gather.
+    f = hex_decode("0x" + "69" * 256)
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    circuits._row_map.cache_clear()
+    with (
+        mock.patch.object(circuits, "_unpermute", wraps=circuits._unpermute) as unpermute,
+        mock.patch.object(circuits, "_permute", wraps=circuits._permute) as permute,
+    ):
+        assert assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
+    mapped = sum(len(c.args[2]) for c in unpermute.call_args_list)
+    assert mapped <= 1 << 13, mapped
+    assert permute.call_count == 128
+    assert all(g.name == "CNOT" for c in permute.call_args_list for g in c.args[1])
+
+
 def _permutation_matrix(g, k):
     """The 0/1 matrix of one X, CNOT or U gate on k wires, built from the
     gate's definition on basis states: |x> goes to |g(x)>."""
@@ -679,22 +697,54 @@ def permutation_runs(draw, k):
 def test_permutation_runs_match_dense_permutations(data):
     # One row gather per run of X and CNOT gates and one per U, at chunks of
     # 4 and 64 amplitudes and the default: bit-identical to the gates
-    # applied one by one as matrices.
+    # applied one by one as matrices.  The same plan then runs on a second
+    # batch at another width and chunk, so a row map kept for the wrong
+    # chunk size fails.
     k = data.draw(hyp.integers(1, 10))
-    width = data.draw(hyp.integers(1, 17))
-    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
     gates = data.draw(permutation_runs(k))
-    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
-    arr = rng.standard_normal((1 << k, width))
-    arr[rng.integers(0, 1 << k, 3), rng.integers(0, width, 3)] = [-0.0, np.nan, np.inf]
-    want = arr.copy()
+    stages = circuits._stages(gates)
+    perm = np.arange(1 << k)
     for g in gates:
         m = _permutation_matrix(g, k)
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
-        want = want[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
+        perm = perm[m.argmax(axis=1)]  # (M v)[i] = v[j] for the one j with M[i, j] = 1
+    widths = data.draw(hyp.lists(hyp.integers(1, 17), min_size=2, max_size=2, unique=True))
+    chunks = data.draw(hyp.permutations([4, 64, statevec._CHUNK]))[:2]
+    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
+    for width, chunk in zip(widths, chunks):
+        arr = rng.standard_normal((1 << k, width))
+        arr[rng.integers(0, 1 << k, 3), rng.integers(0, width, 3)] = [-0.0, np.nan, np.inf]
+        want = arr[perm]
+        with mock.patch.object(statevec, "_CHUNK", chunk):
+            circuits._apply_stages(stages[1:], arr)
+        assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyp.data())
+def test_leading_permutation_run_moves_the_one_hot_indices(data):
+    # With no leading H, the kernel moves each column's index through the
+    # first X/CNOT run and scatters there: the same bytes as the one-hot
+    # fill followed by the rest of the plan, that run's row gather included,
+    # with U stages and maybe an H/X/CNOT circuit after it.  The run holds a
+    # CNOT from a wire inside the chunk into wire 0, above it, where k > 1,
+    # and an X where k = 1, so it is never empty and no H leads the plan.
+    k = data.draw(hyp.integers(1, 10))
+    width = data.draw(hyp.integers(1, 17))
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
+    run = data.draw(permutation_runs(k))
+    run.insert(data.draw(hyp.integers(0, len(run))), CNOT(k - 1, 0) if k > 1 else X(0))
+    gates = run + list(data.draw(circuits_on(k)).gates if data.draw(hyp.booleans()) else ())
+    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
+    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
+    stages = _stages(gates)
+    got, want = np.empty((1 << k, width)), np.empty((1 << k, width))
     with mock.patch.object(statevec, "_CHUNK", chunk):
-        circuits._apply_stages(circuits._stages(gates)[1:], arr)
-    assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+        h = _simulate_batch(stages, index, sign, got)
+        circuits._fill(want, index, sign, [])
+        circuits._apply_stages(stages[1:], want)
+    assert h == sum(g.name == "H" for g in gates)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -753,11 +803,13 @@ def test_permutation_memory_at_20_wires(gates):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * state, peak
-    # The kernel alone: a held chunk and index scratch, no block-sized buffer.
-    arr = np.empty((1 << 20, 1))
+    # The row gather alone, which simulate_circuit skips for a leading run: a
+    # held chunk, index scratch and the run's row map, no block-sized buffer.
+    arr = np.zeros((1 << 20, 1))
+    circuits._row_map.cache_clear()
     tracemalloc.start()
     try:
-        _simulate_batch(_stages(gates), [ket.index], [1], arr)
+        circuits._apply_stages(_stages(gates)[1:], arr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
