@@ -11,7 +11,8 @@ f(x) = c XOR parity(x AND m), and there are 2^(n+1) of them: 2^n
 
 `iter_tables` streams them depth first from the paper's doubling, each
 table its first half t followed by t or its complement, so the stream
-holds O(2^n) bytes; `function_lines` prints that stream as the listing.
+holds O(2^n) bytes.  `function_lines` is the listing from the same walk,
+which doubles each line's binary, hex and decimal fields along with it.
 """
 
 import math
@@ -135,17 +136,35 @@ class ParityForm:
         return "^".join(terms) if terms else "0"
 
 
-def _ascending(n: int, lead: int) -> Iterator[bytes]:
+def _ascending(n: int, lead: int, leaf, double) -> Iterator:
     """Every admissible table on n variables with leading entry `lead`, in
-    ascending order, depth first.  Each comes from its first half t, one
-    such table on n - 1 variables, as t+t or t+complement(t), and t+t is the
-    smaller exactly when t's leading entry is 0."""
+    ascending order, depth first, from `leaf`, the one-entry table `lead`.
+    Each comes from its first half t, one such table on n - 1 variables, as
+    t+t or t+complement(t), which `double(t)` returns in that order; t+t is
+    the smaller exactly when t's leading entry is 0, so `lead` indexes the
+    one that comes first."""
     if n == 0:
-        yield bytes([lead])
+        yield leaf
         return
-    for t in _ascending(n - 1, lead):
-        same, flip = t + t, t + t.translate(_FLIP)
-        yield from (flip, same) if lead else (same, flip)
+    for t in _ascending(n - 1, lead, leaf, double):
+        pair = double(t)
+        yield pair[lead]
+        yield pair[1 - lead]
+
+
+def _walk(n: int, leaves: tuple, double) -> Iterator:
+    """Every admissible table on n variables, in the order `iter_tables`
+    gives.  `leaves` are the one-entry tables 0 and 1, and `double` is as in
+    `_ascending`."""
+    _check_n(n)
+    negatives = _ascending(n, 1, leaves[1], double)
+    if n == 1:
+        negatives = reversed(list(negatives))
+    return chain(_ascending(n, 0, leaves[0], double), negatives)
+
+
+def _double_bytes(t: bytes) -> tuple[bytes, bytes]:
+    return t + t, t + t.translate(_FLIP)
 
 
 def iter_tables(n: int) -> Iterator[bytes]:
@@ -155,9 +174,7 @@ def iter_tables(n: int) -> Iterator[bytes]:
     n >= 2, and (11), (10) for n = 1 as in the paper's listing.  The stream
     is depth first, so it holds one table per level, O(2^n) bytes in all.
     """
-    _check_n(n)
-    negatives = (b"\1\1", b"\1\0") if n == 1 else _ascending(n, 1)
-    return chain(_ascending(n, 0), negatives)
+    return _walk(n, (b"\0", b"\1"), _double_bytes)
 
 
 def generate_functions(n: int) -> tuple[list[TruthTable], list[TruthTable]]:
@@ -274,13 +291,22 @@ def is_invariant_under(tt: TruthTable, delta) -> bool:
     return bool(np.array_equal(f, f[np.arange(f.size) ^ bits_to_int(tuple(delta))]))
 
 
-def function_line(tt: TruthTable) -> str:
-    """One-line listing form: "<binary> <hex> <decimal> <class>".  Raises
-    ValueError when the decimal field may pass Python's int-to-str limit."""
-    digits = math.ceil((1 << tt.n) * math.log10(2))  # of 2^(2^n) - 1, the widest
+def _check_decimal_digits(n: int) -> None:
+    """Raise ValueError when the decimal field of a line for n, up to the
+    digits of 2^(2^n) - 1, may pass Python's int-to-str limit."""
+    digits = math.ceil((1 << n) * math.log10(2))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and digits > limit:
-        raise ValueError(f"n={tt.n} takes up to {digits} decimal digits, over the limit of {limit}")
+        raise ValueError(f"n={n} takes up to {digits} decimal digits, over the limit of {limit}")
+
+
+def function_line(tt: TruthTable) -> str:
+    """One-line listing form: "<binary> <hex> <decimal> <class>".  It derives
+    each field from the table on its own, through `str`, `padded_hex`, the
+    value and `classify`, so it is the reference that `function_lines` is
+    tested against.  Raises ValueError when the decimal field may pass
+    Python's int-to-str limit."""
+    _check_decimal_digits(tt.n)
     return f"{tt} {padded_hex(tt)} {tt.value} {classify(tt).value}"
 
 
@@ -293,22 +319,39 @@ def listing_bytes(n: int) -> int:
     return width << (n + 1)
 
 
+# str.translate tables: complement binary digits, and hex digits d to F - d.
+_FLIP_TEXT = str.maketrans("01", "10")
+_FLIP_HEX = str.maketrans("0123456789ABCDEF", "FEDCBA9876543210")
+_LABELS = {"0": FunctionClass.POSITIVE.value, "1": FunctionClass.NEGATIVE.value}
+
+
+def _double_line(half: tuple[str, str, int]) -> tuple[tuple[str, str, int], ...]:
+    """`_ascending`'s doubling on (binary text, hex text, value) triples: the
+    texts concatenate, complemented by translation, and the values shift.  A
+    half of 4 or more entries has whole hex digits; below that the hex is
+    the value's single digit."""
+    text, hex_text, value = half
+    size = len(text)
+    flip_text = text.translate(_FLIP_TEXT)
+    same, flip = (value << size) | value, (value << size) | ((1 << size) - 1 - value)
+    if size < 4:
+        return (text + text, format(same, "X"), same), (text + flip_text, format(flip, "X"), flip)
+    return (
+        (text + text, hex_text + hex_text, same),
+        (text + flip_text, hex_text + hex_text.translate(_FLIP_HEX), flip),
+    )
+
+
 def function_lines(n: int) -> Iterator[str]:
     """Stream `function_line` of every table of `iter_tables`, newline ended.
 
-    A listing over CAPS["listing"] raises CapError here, so before the
-    first line.
+    The same doubling walk builds each line's binary, hex and decimal value
+    as it goes, so `str(value)` is the only conversion a line takes; the
+    class is the leading entry, which the walk chose.  A listing over
+    CAPS["listing"], or a decimal field past Python's int-to-str limit,
+    raises here, so before the first line.
     """
-    tables = iter_tables(n)
+    lines = _walk(n, (("0", "0", 0), ("1", "1", 1)), _double_line)
     _check_cap("listing", listing_bytes(n), f"the listing for n={n}")
-    return _lines(tables, max(1, (1 << n) // 4))
-
-
-def _lines(tables: Iterator[bytes], digits: int) -> Iterator[str]:
-    """One int conversion per table gives both number fields; the class is
-    the leading entry, which the construction chose."""
-    labels = (FunctionClass.POSITIVE.value, FunctionClass.NEGATIVE.value)
-    for table in tables:
-        text = table.translate(_TEXT).decode("ascii")
-        value = int(text, 2)
-        yield f"{text} {value:0{digits}X} {value} {labels[table[0]]}\n"
+    _check_decimal_digits(n)
+    return (f"{text} {hex_text} {value} {_LABELS[text[0]]}\n" for text, hex_text, value in lines)

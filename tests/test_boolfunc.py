@@ -1,6 +1,7 @@
 import array
 import string
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -152,6 +153,18 @@ def test_listing_cap_admits_n12_and_refuses_n13():
     assert listing_bytes(12) <= CAPS["listing"] < listing_bytes(13)
     with pytest.raises(CapError, match=r"198\.7 MiB, over the 64 MiB cap"):
         function_lines(13)  # before the first line is asked for
+
+
+def test_listing_at_the_cap_streams_one_line_at_a_time():
+    # 8192 lines of 6366 bytes at most: a walk that held a level of them would pass the bound.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in function_lines(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 8192
+    assert peak < 256 << 10, peak
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")

@@ -84,7 +84,7 @@ def test_gen(capsys):
     ]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_gen_lines_match_function_line(capsys, n):
     # function_line classifies through is_admissible, independently of the
     # construction that gen reads the class from.
@@ -104,6 +104,19 @@ def test_gen_over_the_listing_cap_prints_nothing(capsys):
     code, out, err = run_cli(capsys, "gen", "13")
     assert (code, out) == (1, "")
     assert "198.7 MiB, over the 64 MiB cap" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_gen_over_the_int_str_limit_prints_nothing(capsys):
+    # n = 12's widest decimal field has 1234 digits; the check runs before the first line.
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run_cli(capsys, "gen", "12")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (1, "")
+    assert err == "error: n=12 takes up to 1234 decimal digits, over the limit of 640\n"
 
 
 def test_gen_at_the_listing_cap_streams_in_little_memory():
