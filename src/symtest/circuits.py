@@ -32,13 +32,13 @@ Each later H stage is one butterfly call per contiguous wire range
 (blocked +-1 matrix products, exact on integer amplitudes below 2^24 in
 float32), an X/CNOT stage or a U one in-place row gather a chunk at a time
 (pure copies, so exact; an X/CNOT run's affine row map is built once per
-run and chunk size), R a 2 x 2 block product, and the Hadamard scale is
-applied once at the end, so a circuit with an even number of H gates is
-simulated exactly.  Read-out batches are float32 when _batch_dtype
-allows, else float64; simulate_circuit keeps float64.  assert_equivalent
-reads its inputs in chunks of at most 2^16 amplitudes (16 columns at 12
-wires), simulated into one reused buffer per circuit in that circuit's
-dtype, so its memory stays bounded however many inputs it checks.
+run and chunk size), R a 2 x 2 block product.  The global sign goes into
+the fill's input signs, and statevec._scale applies the Hadamard scale once
+at the end, so a circuit with an even number of H gates is simulated
+exactly.  Read-out batches are float32 when _batch_dtype allows, else
+float64; simulate_circuit keeps float64.  assert_equivalent reads its inputs
+in chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated
+into one reused buffer per circuit in its dtype, so its memory stays bounded.
 """
 
 import functools
@@ -53,7 +53,7 @@ import numpy as np
 from . import statevec
 from .bitops import _check_cap
 from .boolfunc import TruthTable, to_parity_form
-from .statevec import BasisKet, StateVector, _apply, butterfly, check_tolerance
+from .statevec import BasisKet, StateVector, _apply, _scale, butterfly, check_tolerance
 
 # Amplitudes per batch in assert_equivalent, 256 KB of float32 or 512 KB of
 # float64 for each circuit: 16 input columns at 12 wires and fewer at more,
@@ -394,7 +394,7 @@ def _batch_dtype(stages: list[tuple[str, list]]) -> type:
 def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray) -> int:
     """Simulate a plan of _stages on the columns sign[j] * |index[j]> of the
     C-contiguous (2^k, B) array `arr`, in place, and return the plan's number
-    h of H gates; _scale then normalizes the batch.
+    h of H gates.  The batch is left unscaled: 2^(h/2) times the normalized one.
 
     The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
     holds (phase kickback), or after an empty stage 0 an X/CNOT stage 1 as
@@ -416,17 +416,6 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     return sum(len(items) for kind, items in stages if kind == "H")
 
 
-def _scale(arr: np.ndarray, h: int, global_sign: int = 1) -> np.ndarray:
-    """Multiply a batch by global_sign * 2^(-h/2) and return it; exact when h is
-    even.  An odd h scales a float32 batch as a float64 copy, as float64 would."""
-    scale = global_sign * 2.0 ** -(h // 2) * (math.sqrt(0.5) if h % 2 else 1.0)
-    if h % 2:
-        arr = arr.astype(np.float64, copy=False)
-    if scale != 1.0:
-        arr *= scale
-    return arr
-
-
 def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:
     """Basis indices and signs of the kets, which must all be `wires` wide."""
     for ket in kets:
@@ -440,8 +429,8 @@ def simulate_circuit(circ: Circuit, input: BasisKet) -> StateVector:
     _check_cap("qubits", circ.wires, f"circuit on {circ.wires} wires")
     index, sign = _columns([input], circ.wires)
     arr = np.empty((1 << circ.wires, 1))
-    h = _simulate_batch(_stages(circ.gates), index, sign, arr)
-    return StateVector._own(_scale(arr, h, circ.global_sign))
+    h = _simulate_batch(_stages(circ.gates), index, [circ.global_sign * s for s in sign], arr)
+    return StateVector._own(_scale(arr, h))
 
 
 def iter_basis_inputs(wires: int, last_bit: int | None = None) -> Iterator[BasisKet]:
@@ -482,7 +471,7 @@ def assert_equivalent(
         if work is None:  # the first chunk is the widest
             work = [np.empty(size, _batch_dtype(stages)) for stages in plans]
         va, vb = (
-            _scale(v, _simulate_batch(stages, index, sign, v), c.global_sign)
+            _scale(v, _simulate_batch(stages, index, [c.global_sign * s for s in sign], v))
             for c, stages, v in zip((a, b), plans, (w[:size].reshape(-1, len(chunk)) for w in work))
         )
         diff = np.subtract(va, vb, out=va if va.itemsize >= vb.itemsize else vb)

@@ -24,7 +24,7 @@ row pairs read from f's table, not its parity form (phase kickback; a
 row gather after a first-layer rotation or with the ancilla's H
 skipped); the second layer is one butterfly call, +-1 matrix products on
 integer amplitudes whose partial sums never exceed 2^k <= 2^20; and the
-2k Hadamards leave a power-of-two scale that is divided out at the end.
+2k Hadamards leave each output column +-2^k in one row, read unscaled.
 Batches are float32, exact below 2^24, unless a rotation fault adds an R
 stage (circuits._batch_dtype); run_vector returns float64.
 """
@@ -49,7 +49,6 @@ from .circuits import (
     Circuit,
     Gate,
     _batch_dtype,
-    _scale,
     _simulate_batch,
     _stages,
     hadamard_layer,
@@ -164,8 +163,7 @@ def run(f: TruthTable, input: BasisKet) -> PipelineResult:
     Walsh value W is even, so each entry W/2^n is then at most 1 - 2^(1-n).
     """
     _check_input(f, input)
-    arr = _scale(*_simulate(f, [input.index], [input.sign]))
-    index, sign = read_basis_columns(arr)
+    index, sign = read_basis_columns(*_simulate(f, [input.index], [input.sign]))
     if not sign[0]:
         raise NotBasisStateError(
             f"pipeline output for f={f.brief()} is not a basis state (function not admissible)"
@@ -262,8 +260,7 @@ def verify_all(n: int) -> VerifyReport:
             buf = np.empty(size, _batch_dtype(stages))
         arr = buf[:size].reshape(2 << n, -1)
         h = _simulate_batch(stages, np.tile(index, len(group)), np.tile(sign, len(group)), arr)
-        readout = read_basis_columns(_scale(arr, h))
-        got_index, got_sign = (a.reshape(len(group), -1) for a in readout)
+        got_index, got_sign = (a.reshape(len(group), -1) for a in read_basis_columns(arr, h))
         report.total += arr.shape[1]
         for f, f_index, f_sign in zip(group, got_index, got_sign):
             want_index, want_sign = _prediction(to_parity_form(f), index, sign)

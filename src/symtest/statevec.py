@@ -10,7 +10,7 @@ threads, and functions on it never mutate their inputs.  butterfly, the
 simulators' Hadamard kernel, works in place on a float32 or float64
 vector or batch: blocked +-1 matrix products through per-call scratch in
 the array's dtype, exact on integer amplitudes below 2^24 in float32
-(2^53 in float64).
+(2^53 in float64).  _scale alone normalizes the 2^(h/2) of h butterflies.
 """
 
 import math
@@ -129,30 +129,33 @@ def ket_to_vector(ket: BasisKet) -> StateVector:
     return StateVector._own(arr)
 
 
-def read_basis_columns(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read each column of a writeable (2^k, B) batch as a signed basis state.
+def read_basis_columns(arr: np.ndarray, h: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Read each column of a writeable (2^k, B) batch, left unscaled by an
+    even number h of Hadamards, as a signed basis state.
 
     Column j reads as sign[j] * |index[j]> iff its entry at index[j] is
-    exactly +-1 and every other entry is exactly 0; else sign[j] is 0.
-    index is |sum_i i * a_i|, two small products over a (2^k / L, L, B) view
-    (L = 2^floor(k/2)), clipped into range: no full-length index vector or
-    mask is allocated.  Its entry is zeroed while the rest of the column is
-    tested, then written back, so no other thread may use `arr` meanwhile.
+    exactly +-2^(h/2) and every other entry is exactly 0; else sign[j] is 0.
+    index is |sum_i i * a_i| / 2^(h/2), exact as 2^(h/2) is a power of two,
+    from two small products over a (2^k / L, L, B) view (L = 2^floor(k/2)),
+    clipped into range: no full-length index vector or mask is allocated.
+    Its entry is zeroed while the rest of the column is tested, then written
+    back, so no other thread may use `arr` meanwhile.
     """
     rows, width = arr.shape
     low = 1 << ((rows.bit_length() - 1) // 2)
-    view = arr.reshape(rows // low, low, width)  # row h * low + l at [h, l]
+    unit = 2.0 ** (h // 2)
+    view = arr.reshape(rows // low, low, width)  # row i * low + l at [i, l]
     with np.errstate(all="ignore"):  # an inf or nan entry gives an inf or nan moment
         high = np.arange(rows // low, dtype=arr.dtype) @ view.reshape(rows // low, low * width)
         lows = np.arange(low, dtype=arr.dtype) @ view
-        moment = low * high.reshape(low, width).sum(axis=0) + lows.sum(axis=0)
+        moment = (low * high.reshape(low, width).sum(axis=0) + lows.sum(axis=0)) / unit
     index = np.fmin(np.abs(moment), rows - 1).astype(np.intp)  # nan, too, reads as the last row
     cols = np.arange(width)
     peak = arr[index, cols]
     arr[index, cols] = 0
     rest = arr.any(axis=0)
     arr[index, cols] = peak
-    return index, np.where(rest, 0, (peak == 1).astype(np.int64) - (peak == -1))
+    return index, np.where(rest, 0, (peak == unit).astype(np.int64) - (peak == -unit))
 
 
 def vector_to_ket(v: StateVector, tolerance: float = 1e-9) -> BasisKet:
@@ -208,12 +211,22 @@ def _apply(arr: np.ndarray, lo: int, matrix: np.ndarray) -> None:
             np.copyto(part, np.matmul(matrix, part, out=scratch[: part.size].reshape(part.shape)))
 
 
+def _scale(arr: np.ndarray, h: int) -> np.ndarray:
+    """Multiply a batch by 2^(-h/2), the one Hadamard scale, and return it; exact
+    at even h.  An odd h takes a correctly rounded sqrt(0.5), in float64."""
+    scale = 2.0 ** -(h // 2) * (math.sqrt(0.5) if h % 2 else 1.0)
+    if h % 2:
+        arr = arr.astype(np.float64, copy=False)
+    if scale != 1.0:
+        arr *= scale
+    return arr
+
+
 def hadamard_all(v: StateVector) -> StateVector:
     """Apply the k-fold Hadamard tensor; unitary and its own inverse."""
     arr = v.amplitudes.copy()
     butterfly(arr, 0, v.k)
-    arr /= math.sqrt(1 << v.k)
-    return StateVector._own(arr)
+    return StateVector._own(_scale(arr, v.k))
 
 
 def factor_product_state(v: StateVector, tolerance: float = 1e-9) -> list[tuple[float, float]]:

@@ -1,7 +1,11 @@
 """Every size cap in CAPS, at its limit and one past it, through each entry point."""
 
+import functools
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +22,11 @@ from symtest.boolfunc import (
 )
 from symtest.cli import dispatch
 from symtest.statevec import BasisKet
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 # The smallest n whose listing is over the byte cap; every other cap is a count.
 LISTING_N = next(n for n in itertools.count(1) if listing_bytes(n) > CAPS["listing"])
@@ -126,3 +135,74 @@ def test_the_cli_refuses_one_past_a_cap_with_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "cap" in captured.err
+
+
+# x(n-2) ^ x(n-1) ^ xn at n = 11, whose equiv and matrix act on 12 wires, both caps.
+_WIDE = "0x" + "69" * (1 << (CAPS["equiv"] - 4))
+_RUN_AT_THE_CAP = f"""
+from symtest.boolfunc import ParityForm, from_parity_form
+from symtest.pipeline import predict, run
+from symtest.statevec import BasisKet
+n = {CAPS["qubits"] - 1}
+f = from_parity_form(ParityForm(n, (1,) * n, 1))
+ket = BasisKet(-1, (0, 1) * (n // 2) + (1,) * (n % 2 + 1))
+assert run(f, ket) == predict(f, ket)
+"""
+_CLASSIFY_AT_THE_CAP = f"""
+from symtest.boolfunc import FunctionClass, classify, hex_decode
+f = hex_decode("69" * {1 << (CAPS["n"] - 3)})
+assert (f.n, classify(f)) == ({CAPS["n"]}, FunctionClass.POSITIVE)
+"""
+# cap: the child's arguments to the interpreter, each running one entry point at the cap.
+AT_THE_CAP = {
+    "verify": ["-m", "symtest.cli", "verify", str(CAPS["verify"])],
+    "equiv": ["-m", "symtest.cli", "equiv", _WIDE],
+    "matrix": ["-m", "symtest.cli", "matrix", _WIDE],
+    "listing": ["-m", "symtest.cli", "gen", str(LISTING_N - 1)],
+    "chart": ["-m", "symtest.cli", "chart", str(CAPS["chart"])],
+    "catalog": ["-m", "symtest.cli", "catalog", str(CAPS["chart"])],
+    "qubits": ["-c", _RUN_AT_THE_CAP],
+    "n": ["-c", _CLASSIFY_AT_THE_CAP],
+}
+
+
+def _child(args, limit=None):
+    """Run the interpreter on `args` with the source tree importable, under an
+    address-space limit of `limit` bytes (the child's alone) and 30 s of wall clock."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(statevec.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap_memory():
+        if limit is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        preexec_fn=cap_memory,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=30,
+    )
+
+
+@functools.cache
+def _import_peak() -> int:
+    """VmPeak, in bytes, of a child that only imports the CLI and reads its own status."""
+    status = "import sys, symtest.cli; sys.stderr.write(open('/proc/self/status').read())"
+    done = _child(["-c", status])
+    assert done.returncode == 0, done.stderr
+    (kb,) = re.findall(r"^VmPeak:\s+(\d+) kB$", done.stderr, re.MULTILINE)
+    return int(kb) << 10
+
+
+@pytest.mark.parametrize("cap", list(AT_THE_CAP))
+def test_each_cap_at_its_limit_in_a_child_under_64_mib_over_import(cap):
+    """The costliest call each cap admits finishes in 30 s, in an address
+    space of the import's peak plus 64 MiB."""
+    if resource is None or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs the resource module and /proc")
+    done = _child(AT_THE_CAP[cap], _import_peak() + (64 << 20))
+    assert done.returncode == 0, done.stderr

@@ -881,20 +881,36 @@ def float32_gate_lists(draw, k):
 @given(hyp.data())
 def test_float32_batch_is_bit_identical_to_float64(data):
     # Scaled, then cast, the float32 batch equals the float64 batch bit for
-    # bit, odd H counts (scaled in float64) and both global signs included.
+    # bit, odd H counts (scaled in float64) and both input signs included.
     k = data.draw(hyp.integers(1, 10))
     gates = data.draw(float32_gate_lists(k))
     assert _batch_dtype(_stages(gates)) == np.float32
     kets = data.draw(hyp.lists(kets_on(k), min_size=1, max_size=6))
     index, sign = [ket.index for ket in kets], [ket.sign for ket in kets]
-    global_sign = data.draw(hyp.sampled_from([1, -1]))
     out = []
     for dtype in (np.float32, np.float64):
         arr = np.empty((1 << k, len(kets)), dtype)
-        out.append(_scale(arr, _simulate_batch(_stages(gates), index, sign, arr), global_sign))
+        out.append(_scale(arr, _simulate_batch(_stages(gates), index, sign, arr)))
     narrow, wide = out
     assert wide.dtype == np.float64
     assert np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_negative_circuit_is_its_gates_on_the_negated_ket_byte_for_byte(data):
+    # The global sign goes into the fill, so its zeros are +0.0, as the
+    # negated ket's are, and R gates see the same signed inputs.
+    k = data.draw(hyp.integers(1, 8))
+    gates = list(data.draw(float32_gate_lists(k)))
+    for _ in range(data.draw(hyp.integers(0, 2))):
+        angle = data.draw(hyp.floats(-math.pi, math.pi))
+        r = Gate("R", (data.draw(hyp.integers(0, k - 1)),), angle)
+        gates.insert(data.draw(hyp.integers(0, len(gates))), r)
+    ket = data.draw(kets_on(k))
+    negative = simulate_circuit(Circuit(k, tuple(gates), -1), ket).amplitudes
+    negated = simulate_circuit(Circuit(k, tuple(gates), 1), -ket).amplitudes
+    assert np.array_equal(negative.view(np.uint64), negated.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)

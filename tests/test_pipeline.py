@@ -23,8 +23,9 @@ from symtest.boolfunc import (
     is_admissible,
     iter_tables,
     padded_hex,
+    to_parity_form,
 )
-from symtest.circuits import Gate, H, _scale
+from symtest.circuits import Gate, H, _batch_dtype, _scale, _simulate_batch, _stages, hadamard_layer
 from symtest.pipeline import (
     CorruptOracleEntry,
     PipelineResult,
@@ -37,7 +38,14 @@ from symtest.pipeline import (
     success_probability,
     verify_all,
 )
-from symtest.statevec import BasisKet, NotBasisStateError, parse_ket, read_basis_columns
+from symtest.statevec import (
+    BasisKet,
+    NotBasisStateError,
+    hadamard_all,
+    ket_to_vector,
+    parse_ket,
+    read_basis_columns,
+)
 
 tt = TruthTable.from_string
 
@@ -277,6 +285,40 @@ def test_batched_columns_match_run_and_predict(data):
         got = BasisKet(int(sign[j]), int_to_bits(int(index[j]), n + 1))
         assert got == run(f, ket).output == predict(f, ket).output
         assert np.array_equal(batch[:, j], run_vector(f, ket).amplitudes)
+
+
+def _check_state_after_u(f, index, sign):
+    """The abstract's "Hadamard transform of any specified state +-|y>": after
+    layer 1 and U, the unscaled column of the input sign * |index> is exactly
+    s * (-1)^|r & y| in row r, the integer Hadamard row of the predicted
+    s * |y>; scaled, it is hadamard_all of that ket, bit for bit."""
+    k = f.n + 1
+    stages = _stages(hadamard_layer(k) + (Gate("U", (f.n,), f),))
+    arr = np.empty((1 << k, len(index)), _batch_dtype(stages))
+    h = _simulate_batch(stages, index, sign, arr)
+    y, s = pipeline._prediction(to_parity_form(f), np.asarray(index), np.asarray(sign))
+    rows = np.arange(1 << k)[:, None]
+    assert np.array_equal(arr, np.where(np.bitwise_count(rows & y) & 1, -s, s))
+    scaled = _scale(arr, h).astype(np.float64)
+    for j in range(len(index)):
+        want = hadamard_all(ket_to_vector(BasisKet(int(s[j]), int_to_bits(int(y[j]), k))))
+        assert np.array_equal(scaled[:, j].view(np.uint64), want.amplitudes.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_state_after_u_is_the_hadamard_transform_of_the_prediction(n):
+    index = np.repeat((np.arange(1 << n) << 1) | 1, 2)  # every signed input
+    sign = np.tile([1, -1], 1 << n)
+    for table in iter_tables(n):
+        _check_state_after_u(TruthTable(n, table), index, sign)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.data())
+def test_state_after_u_is_the_hadamard_transform_of_the_prediction_at_random_n(data):
+    n = data.draw(hyp.integers(1, 12))
+    kets = _random_inputs(data, n, 4)
+    _check_state_after_u(_random_function(data, n), [k.index for k in kets], [k.sign for k in kets])
 
 
 @settings(max_examples=10, deadline=None)

@@ -86,6 +86,7 @@ def test_hadamard_reference_vector():
 def test_hadamard_single_qubit():
     v = hadamard_all(ket_to_vector(parse_ket("+0")))
     assert np.allclose(v.amplitudes, np.array([1, 1]) / math.sqrt(2), rtol=0, atol=1e-15)
+    assert v.amplitudes.tolist() == [math.sqrt(0.5)] * 2  # correctly rounded, as the kernel scales
 
 
 def test_hadamard_involution_on_random_kets():
@@ -242,7 +243,9 @@ def _read_reference(arr):
 @given(hyp.integers(1, 10), hyp.integers(1, 17), hyp.data())
 def test_read_basis_columns_matches_full_magnitude_reference(k, width, data):
     # Signed basis columns, some with a few entries overwritten: ties of
-    # +-1, NaN, infinities, signed zeros, and values near 0 and 1.
+    # +-1, NaN, infinities, signed zeros, and values near 0 and 1, all
+    # times 2^(h/2) as h Hadamards leave them unscaled, h even.
+    h = data.draw(hyp.sampled_from(range(0, 41, 2)))
     rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
     cols = np.arange(width)
     arr = np.zeros((1 << k, width))
@@ -251,9 +254,10 @@ def test_read_basis_columns_matches_full_magnitude_reference(k, width, data):
     for j in cols:
         hits = rng.integers(0, 3)
         arr[rng.integers(0, 1 << k, hits), j] = rng.choice(palette, hits)
-    before = arr.copy()
-    index, sign = read_basis_columns(arr)
     want_index, want_sign = _read_reference(arr)
+    arr *= 2.0 ** (h // 2)
+    before = arr.copy()
+    index, sign = read_basis_columns(arr, h)
     # The reader writes into the batch while it reads, and restores it.
     assert np.array_equal(arr, before, equal_nan=True)
     assert sign.tolist() == want_sign.tolist()
