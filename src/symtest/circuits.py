@@ -39,6 +39,9 @@ exactly.  Read-out batches are float32 when _batch_dtype allows, else
 float64; simulate_circuit keeps float64.  assert_equivalent reads its inputs
 in chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated
 into one reused buffer per circuit in its dtype, so its memory stays bounded.
+_amplitude reads one row of one column: it simulates the plan up to its
+tail, the trailing R stages and the H stage before them, and reads that
+tail into the row.
 """
 
 import functools
@@ -287,6 +290,15 @@ def _signs(x: np.ndarray, w: int, m: int) -> np.ndarray:
     return out
 
 
+def _factors(x: np.ndarray, wires: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 factors of the unnormalized columns H^(x)W |x[j]> on k wires, W
+    the distinct `wires`: column j is the outer product of column j of the
+    (2^(k - k//2), B) high factor and of the (2^(k//2), B) low one."""
+    w = sum(1 << (k - 1 - q) for q in wires)  # wire 0 is the most significant bit
+    lo, mask = k // 2, (1 << (k // 2)) - 1
+    return _signs(x >> lo, w >> lo, k - lo), _signs(x & mask, w & mask, lo)
+
+
 def _fill(
     arr: np.ndarray,
     index,
@@ -300,7 +312,7 @@ def _fill(
     Column j is sign[j] * (-1)^|r & x & W| in each row r that agrees with
     x = index[j] off W, and 0 elsewhere (Bernstein-Vazirani).  That factors
     over the high and low halves of r, so the batch is one outer product
-    of two int8 factors written in one pass; the integer zeros cast to +0.0,
+    of the two int8 _factors, written in one pass; the integer zeros cast to +0.0,
     as the butterfly leaves them.  With no wires it is the one-hot scatter: the
     product wrote the same batch in 100-160 us per (4096, 16) float32 equiv
     batch, the scatter in 15-22 us (2 vCPUs).
@@ -317,11 +329,8 @@ def _fill(
         arr.fill(0.0)
         arr[index, np.arange(len(index))] = sign
         return
-    k = len(arr).bit_length() - 1
     x = np.asarray(index, dtype=np.int64)
-    w = sum(1 << (k - 1 - q) for q in wires)  # wire 0 is the most significant bit
-    lo, mask = k // 2, (1 << (k // 2)) - 1
-    high, low = _signs(x >> lo, w >> lo, k - lo), _signs(x & mask, w & mask, lo)
+    high, low = _factors(x, wires, len(arr).bit_length() - 1)
     high *= np.asarray(sign, dtype=np.int8)
     out = arr.reshape(len(high), len(low), len(x))
     step = max(1, statevec._CHUNK // low.size)  # high rows per chunk
@@ -387,8 +396,12 @@ def _batch_dtype(stages: list[tuple[str, list]]) -> type:
     most doubles the largest magnitude, so every amplitude and partial sum
     of a +-1 block product is an integer within 2^24, exact in float32."""
     rest = stages[1:]
-    h = sum(len(items) for kind, items in rest if kind == "H")
-    return np.float32 if h <= 24 and all(kind != "R" for kind, _ in rest) else np.float64
+    exact = _count_h(rest) <= 24 and all(kind != "R" for kind, _ in rest)
+    return np.float32 if exact else np.float64
+
+
+def _count_h(stages: Iterable[tuple[str, list]]) -> int:
+    return sum(len(items) for kind, items in stages if kind == "H")
 
 
 def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray) -> int:
@@ -413,7 +426,44 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
         _unpermute(items[::-1], len(arr).bit_length() - 1, index, np.empty_like(index), None)
     _fill(arr, index, sign, lead, items[0].arg if kick else None)
     _apply_stages(stages[done:], arr)
-    return sum(len(items) for kind, items in stages if kind == "H")
+    return _count_h(stages)
+
+
+def _amplitude(
+    stages: list[tuple[str, list]], index, sign, row: int, arr: np.ndarray
+) -> tuple[float, int]:
+    """The unscaled amplitude at `row` that _simulate_batch would leave in the
+    one column sign[0] |index[0]> of the C-contiguous (2^k, 1) array `arr`,
+    and the plan's H count.
+
+    Only the stages before the tail, the trailing R stages and the H stage
+    before them unless that is stage 0, are simulated.  Each R, from the
+    last, splits every readout row r into its two preimages on its wire,
+    weighted by <r|R.  H is symmetric, so <r|H^(x)W psi> = <H^(x)W r|psi>,
+    and H^(x)W |r> is the fill's column of r: the overlap is sum_j w_j
+    high_j @ (psi @ low_j) over its two _factors, one pass over psi.  In a
+    float32 plan the weights are 1 and every partial sum an integer within
+    the 2^24 that _batch_dtype bounds the butterfly's by, so the amplitude
+    is exact.
+    """
+    k = len(arr).bit_length() - 1
+    rows, weights, end = np.array([row]), np.ones(1), len(stages)
+    while stages[end - 1][0] == "R":
+        end -= 1
+        gate = stages[end][1][0]
+        c, s = math.cos(gate.arg), math.sin(gate.arg)
+        bit = 1 << (k - 1 - gate.qubits[0])
+        # <r|R = R[r_q, 0] <r, q=0| + R[r_q, 1] <r, q=1|, with R = [[c, -s], [s, c]].
+        up = (rows & bit) != 0
+        rows = np.concatenate([rows & ~bit, rows | bit])
+        weights = np.concatenate([weights * np.where(up, s, c), weights * np.where(up, c, -s)])
+    fold = end > 1 and stages[end - 1][0] == "H"
+    h = _simulate_batch(stages[: end - fold], index, sign, arr) + _count_h(stages[end - fold :])
+    if not fold:
+        return float(arr[rows, 0] @ weights), h
+    high, low = _factors(rows, stages[end - 1][1], k)
+    overlaps = np.einsum("hj,hj->j", high, arr.reshape(len(high), len(low)) @ low)
+    return float(overlaps @ weights), h
 
 
 def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:

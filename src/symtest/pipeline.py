@@ -22,11 +22,15 @@ exact for the unfaulted pipeline: the first H layer is filled in closed
 form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
 row pairs read from f's table, not its parity form (phase kickback; a
 row gather after a first-layer rotation or with the ancilla's H
-skipped); the second layer is one butterfly call, +-1 matrix products on
-integer amplitudes whose partial sums never exceed 2^k <= 2^20; and the
-2k Hadamards leave each output column +-2^k in one row, read unscaled.
-Batches are float32, exact below 2^24, unless a rotation fault adds an R
-stage (circuits._batch_dtype); run_vector returns float64.
+skipped).  In run() and verify_all the second layer is one butterfly
+call, +-1 matrix products on integer amplitudes whose partial sums never
+exceed 2^k <= 2^20, and the 2k Hadamards leave each output column +-2^k
+in one row, read unscaled.  success_probability() needs one amplitude,
+so the second layer, and a rotation after it, are read into the
+predicted row instead (circuits._amplitude): one pass over the state
+after U, and no butterfly.  Batches are float32, exact below 2^24,
+unless a rotation fault adds an R stage (circuits._batch_dtype);
+run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +52,7 @@ from .circuits import (
     _BATCH_AMPLITUDES,
     Circuit,
     Gate,
+    _amplitude,
     _batch_dtype,
     _simulate_batch,
     _stages,
@@ -195,15 +200,20 @@ def success_probability(f: TruthTable, input: BasisKet, fault: Fault | None = No
     """Squared overlap of the (possibly faulted) pipeline output with predict().
 
     Exactly 1.0 when no fault is injected; anything less flags a loss of
-    coherence or a broken gate.  The unnormalized overlap is squared
-    before the 2^-h scale of h butterflies is applied, so that scale stays
-    an exact power of two even when a skipped Hadamard leaves h odd.
+    coherence or a broken gate.  Only the one amplitude at the predicted
+    row is computed: the second H layer, and a rotation after it, are read
+    into that row instead of applied to the state (circuits._amplitude).
+    The unnormalized overlap is squared before the 2^-h scale of the h
+    Hadamards is applied, so that scale stays an exact power of two even
+    when a skipped Hadamard leaves h odd.
     """
-    # _simulate checks this cap too, but predict() builds f's parity table first.
-    _check_cap("qubits", f.n + 1, f"pipeline on {f.n + 1} qubits")
+    k = f.n + 1
+    _check_cap("qubits", k, f"pipeline on {k} qubits")  # before predict() builds f's parity table
     target = predict(f, input).output
-    arr, h = _simulate(f, [input.index], [input.sign], fault)
-    overlap = float(arr[target.index, 0]) * target.sign
+    stages = _stages(_gates(f, fault))
+    arr = np.empty((1 << k, 1), _batch_dtype(stages))
+    amplitude, h = _amplitude(stages, [input.index], [input.sign], target.index, arr)
+    overlap = amplitude * target.sign
     return overlap * overlap * 2.0 ** -h
 
 

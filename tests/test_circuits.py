@@ -25,6 +25,7 @@ from symtest.circuits import (
     Gate,
     H,
     X,
+    _amplitude,
     _batch_dtype,
     _scale,
     _simulate_batch,
@@ -894,6 +895,31 @@ def test_float32_batch_is_bit_identical_to_float64(data):
     narrow, wide = out
     assert wide.dtype == np.float64
     assert np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_amplitude_reads_each_row_of_the_simulated_batch(data):
+    # The plan's tail of R stages, and the H stage before them unless it is
+    # stage 0, is read into the row: with no R the amplitude is the batch's
+    # entry bit for bit, with R within 1e-12 of it, on every row and wire.
+    k = data.draw(hyp.integers(1, 8))
+    gates = data.draw(float32_gate_lists(k))
+    tail = data.draw(hyp.lists(hyp.sampled_from(["H", "R"]), max_size=4))
+    for kind in tail:
+        q = data.draw(hyp.integers(0, k - 1))
+        gates += (H(q) if kind == "H" else Gate("R", (q,), data.draw(hyp.floats(-4, 4))),)
+    ket = data.draw(kets_on(k))
+    stages = _stages(gates)
+    want = np.empty((1 << k, 1), _batch_dtype(stages))
+    h = _simulate_batch(stages, [ket.index], [ket.sign], want)
+    for row in range(1 << k):
+        got, got_h = _amplitude(stages, [ket.index], [ket.sign], row, np.empty_like(want))
+        assert got_h == h
+        if "R" in tail:
+            assert abs(got - float(want[row, 0])) <= 1e-12 * 2.0 ** (h / 2)
+        else:
+            assert got == float(want[row, 0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -425,8 +425,8 @@ def test_every_skip_fault_halves_success(n):
 @settings(max_examples=10, deadline=None)
 @given(hyp.data())
 def test_every_skip_at_n12_is_exactly_half(data):
-    # Each skip splits its layer into at most two wire ranges, which the
-    # kernel applies as separate blocked butterflies.
+    # A first-layer skip leaves the fill a wire short, and a second-layer
+    # one leaves a 0 in every readout row that differs on the skipped wire.
     n = 12
     f = _random_function(data, n)
     (ket,) = _random_inputs(data, n, 1)
@@ -532,6 +532,66 @@ def test_fault_is_one_gate_list_edit(fault):
         assert [i for i, (a, b) in enumerate(pairs) if a != b] == [fault.index]
 
 
+def _whole_plan_probability(f, ket, fault):
+    """success_probability by the whole plan: simulate every stage, then read
+    the predicted row, scaled the same way."""
+    target = predict(f, ket).output
+    arr, h = pipeline._simulate(f, [ket.index], [ket.sign], fault)
+    overlap = float(arr[target.index, 0]) * target.sign
+    return overlap * overlap * 2.0 ** -h
+
+
+def _assert_matches_whole_plan(f, ket, fault):
+    got, want = success_probability(f, ket, fault), _whole_plan_probability(f, ket, fault)
+    if isinstance(fault, RotateQubit):
+        assert abs(got - want) <= 1e-13, (fault, got, want)
+    else:
+        assert got == want, (fault, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyp.data())
+def test_success_probability_equals_the_whole_plan_read(data):
+    # The readout folds the second layer and a rotation after it into the
+    # predicted row; skip, corrupt and fault-free results are those of the
+    # simulated plan to the last bit, rotations within 1e-13.
+    n = data.draw(hyp.integers(1, 12))
+    f = _random_function(data, n)
+    (ket,) = _random_inputs(data, n, 1)
+    angle = data.draw(hyp.floats(-4, 4))
+    faults = [None, CorruptOracleEntry(data.draw(hyp.integers(0, (1 << n) - 1)))]
+    for layer in ("first", "second"):
+        for q in range(n + 1):
+            faults += [SkipHadamard(layer, q), RotateQubit(layer, q, angle)]
+    for fault in faults:
+        _assert_matches_whole_plan(f, ket, fault)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_success_probability_equals_the_whole_plan_read_exhaustively(n):
+    pos, neg = generate_functions(n)
+    faults = [None] + list(_all_faults(n))
+    for f in pos + neg:
+        for x, sign in product(range(1 << n), (1, -1)):
+            ket = BasisKet(sign, int_to_bits(x, n) + (1,))
+            for fault in faults:
+                _assert_matches_whole_plan(f, ket, fault)
+
+
+def test_success_probability_makes_no_butterfly_call():
+    # Every fault leaves the second layer last but for an R, so it is read
+    # into the predicted row; run still transforms the whole state.
+    n = 4
+    f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
+    ket = BasisKet(-1, (0, 1, 1, 0, 1))
+    with mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as spy:
+        for fault in [None] + list(_all_faults(n)):
+            success_probability(f, ket, fault)
+        assert spy.call_count == 0
+        assert run(f, ket) == predict(f, ket)
+        assert spy.call_count == 1
+
+
 def test_run_memory_at_19_qubits():
     # One (2^20, 1) float64 state is 8 MB; the kernel works on it in place
     # through chunk-sized buffers, and the readout's products and row test
@@ -613,6 +673,23 @@ def test_run_vector_peak_memory_is_within_1_25_states_at_19_qubits():
         tracemalloc.stop()
     assert peak <= 1.25 * state, peak
     assert v.amplitudes[predict(f, ket).output.index] == 1.0
+
+
+def test_second_layer_rotation_peak_memory_is_within_1_25_states_at_19_qubits():
+    # The rotation and the second layer become two readout rows of weights
+    # and factors; the overlap reads the state in place, with no second state.
+    n = 19
+    state = 8 << (n + 1)
+    f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
+    ket = BasisKet(-1, (0, 1) * 9 + (1, 1))
+    tracemalloc.start()
+    try:
+        p = success_probability(f, ket, RotateQubit("second", 19, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state, peak
+    assert abs(p - math.cos(0.3) ** 2) <= 1e-12
 
 
 _FRESH_RUN = """
