@@ -22,12 +22,20 @@ _simulate_batch: stage 0 is its leading run of H gates on distinct
 wires, then come maximal runs of H on distinct wires, maximal runs of X
 and CNOT, and each U and each R alone.  The fill writes stage 0 in
 closed form, H^(x)W on a signed basis state, as one outer product of two
-small +-1/0 factors (a one-hot scatter when it is empty), and a U in
+small +-1/0 factors (a one-hot scatter when it is empty); with no U, each
+row is the high factor tiled along the flat low factor, so that numpy's
+inner loop runs over a whole row of the batch.  It also writes a U in
 stage 1 whose ancilla stage 0 holds as the phase (-1)^(f(t) a) on rows
 2t, 2t+1, a the column's ancilla bit (phase kickback).  Such a U alone
 may hold a tuple of g tables, one for each of g consecutive, equal
-groups of columns, so that one pass simulates g functions.  After an
-empty stage 0 the fill moves each one-hot index through an X/CNOT stage 1.
+groups of columns, so that one pass simulates g functions.  An X/CNOT
+stage 1 moves indices, not rows: after an empty stage 0 the fill moves
+each one-hot index through it, and when stage 0 holds all its wires,
+the run sigma(x) = A x ^ b acts on each column H^(x)W |x> as CNOTs with
+their wires swapped (H CNOT(c, t) H = CNOT(t, c)), so the fill takes
+index A^-T x and sign (-1)^|A^-T x & b| instead (_dual).  Both write the
+exact state after stages 0 and 1, and later stages are simulated as
+they stand.
 Each later H stage is one butterfly call per contiguous wire range
 (blocked +-1 matrix products, exact on integer amplitudes below 2^24 in
 float32), an X/CNOT stage or a U one in-place row gather a chunk at a time
@@ -61,7 +69,9 @@ from .statevec import BasisKet, StateVector, _apply, _scale, butterfly, check_to
 # Amplitudes per batch in assert_equivalent, 256 KB of float32 or 512 KB of
 # float64 for each circuit: 16 input columns at 12 wires and fewer at more,
 # so its memory is bounded for any wire count.  At 12 wires, 4 columns ran
-# 1.7x slower, and 32 no faster.
+# 1.7x slower; 32 ran equiv at n = 11 in 32-33 ms against 38 ms for 16 (2
+# vCPUs), but peaked at 1.15 MiB traced, at the edge of the 1.2 MiB that
+# test_equivalence_memory_is_bounded allows two 16-column batches.
 _BATCH_AMPLITUDES = 1 << 16
 
 # (-1)^c for c = 0, 1; the fill takes it at a popcount c, wrapped mod 2.
@@ -218,6 +228,25 @@ def _row_map(gates: tuple[Gate, ...], k: int, low: int) -> tuple[np.ndarray, tup
     return base, tuple(starts.tolist())
 
 
+@functools.lru_cache(maxsize=4)
+def _dual(gates: tuple[Gate, ...], k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """An X/CNOT run sigma(x) = A x ^ b on k wires, as it acts on the fill's
+    columns H^(x)W |x> when W holds all its wires: it leaves the column of
+    x' = A^-T x with sign (-1)^|x' & b|.  Under H a CNOT(c, t) reverses, so
+    x' takes x_c ^= x_t for each CNOT in order.  A^-T is linear, so it is
+    returned as two read-only tables on the high and low halves of x,
+    x' = high[x >> k//2] ^ low[x & (2^(k//2) - 1)], whose rows _unpermute
+    maps through the CNOTs swapped and reversed; b = sigma(0) is the image
+    of row 0 under the run reversed."""
+    swapped = [CNOT(g.qubits[1], g.qubits[0]) for g in reversed(gates) if g.name == "CNOT"]
+    high, low = np.arange(0, 1 << k, 1 << k // 2), np.arange(1 << k // 2)
+    zero = np.zeros(1, np.int64)
+    for idx, run in ((high, swapped), (low, swapped), (zero, gates[::-1])):
+        _unpermute(run, k, idx, np.empty_like(idx), None)
+    high.flags.writeable = low.flags.writeable = False
+    return high, low, int(zero[0])
+
+
 def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     """Apply a run of X and CNOT gates, or one U gate, to the rows of the
     C-contiguous (2^k, B) array `arr` in place, as one row gather: row i of
@@ -312,10 +341,13 @@ def _fill(
     Column j is sign[j] * (-1)^|r & x & W| in each row r that agrees with
     x = index[j] off W, and 0 elsewhere (Bernstein-Vazirani).  That factors
     over the high and low halves of r, so the batch is one outer product
-    of the two int8 _factors, written in one pass; the integer zeros cast to +0.0,
-    as the butterfly leaves them.  With no wires it is the one-hot scatter: the
-    product wrote the same batch in 100-160 us per (4096, 16) float32 equiv
-    batch, the scatter in 15-22 us (2 vCPUs).
+    of the two int8 _factors; the integer zeros cast to +0.0, as the butterfly
+    leaves them.  With no `u`, a chunk of high rows at a time, each row is
+    high[h] tiled len(low) times, times the flat low factor, so the int8
+    product's inner loop runs over the row's 2^(k//2) B entries instead of B.
+    With no wires it is the one-hot scatter: the product writes the same
+    batch in 43-52 us per (4096, 16) float32 equiv batch, factors included,
+    and the scatter in 12-20 us (2 vCPUs).
 
     With `u`, the table of a U gate right after the run, W holds the
     ancilla, so row 2t + b has the factor (-1)^(a b), a the column's
@@ -332,32 +364,34 @@ def _fill(
     x = np.asarray(index, dtype=np.int64)
     high, low = _factors(x, wires, len(arr).bit_length() - 1)
     high *= np.asarray(sign, dtype=np.int8)
-    out = arr.reshape(len(high), len(low), len(x))
     step = max(1, statevec._CHUNK // low.size)  # high rows per chunk
-    if u is not None:
-        tables = u if isinstance(u, tuple) else (u,)
-        g = len(tables)
-        if len(x) % g:
-            raise ValueError(f"{len(x)} columns do not split into {g} groups, one per U table")
-        # A uint16 of `rows` is 0xFFFF on both rows 2t, 2t+1 where u(t) = 1; the
-        # ancilla bits mask that to m = 0 or -1 in int8, and (v ^ m) - m = -v where m = -1.
-        # The tables are a (high row, g, low row pair) view; join leaves a lone table uncopied.
-        joined = np.frombuffer(b"".join(t.table for t in tables), np.uint8)
-        table = joined.reshape(g, len(high), -1).transpose(1, 0, 2)
-        ancilla = np.where(x & 1, -1, 0).astype(np.int8).reshape(g, -1)
-        rows = np.empty((min(step, len(high)), g, len(low) // 2), np.uint16)
-        pairs = rows.view(np.int8).transpose(0, 2, 1)[..., None]  # (chunk, low rows, g, 1)
-        m, phase = (np.empty((len(rows), len(low), len(x)), np.int8) for _ in range(2))
-        groups = m.reshape(len(rows), len(low), g, -1)
+    if u is None:
+        out, flat = arr.reshape(len(high), low.size), low.reshape(-1)
+        for h in range(0, len(high), step):
+            np.multiply(np.tile(high[h : h + step], len(low)), flat, out=out[h : h + step])
+        return
+    tables = u if isinstance(u, tuple) else (u,)
+    g = len(tables)
+    if len(x) % g:
+        raise ValueError(f"{len(x)} columns do not split into {g} groups, one per U table")
+    # A uint16 of `rows` is 0xFFFF on both rows 2t, 2t+1 where u(t) = 1; the
+    # ancilla bits mask that to m = 0 or -1 in int8, and (v ^ m) - m = -v where m = -1.
+    # The tables are a (high row, g, low row pair) view; join leaves a lone table uncopied.
+    joined = np.frombuffer(b"".join(t.table for t in tables), np.uint8)
+    table = joined.reshape(g, len(high), -1).transpose(1, 0, 2)
+    ancilla = np.where(x & 1, -1, 0).astype(np.int8).reshape(g, -1)
+    rows = np.empty((min(step, len(high)), g, len(low) // 2), np.uint16)
+    pairs = rows.view(np.int8).transpose(0, 2, 1)[..., None]  # (chunk, low rows, g, 1)
+    m, phase = (np.empty((len(rows), len(low), len(x)), np.int8) for _ in range(2))
+    groups = m.reshape(len(rows), len(low), g, -1)
+    out = arr.reshape(len(high), len(low), len(x))
     for h in range(0, len(high), step):
-        p = high[h : h + step, None]
-        if u is not None:
-            c = len(p)
-            np.multiply(table[h : h + c], np.uint16(0xFFFF), out=rows[:c])
-            np.bitwise_and(pairs[:c], ancilla, out=groups[:c])
-            p = np.bitwise_xor(m[:c], p, out=phase[:c])
-            np.subtract(p, m[:c], out=p)
-        np.multiply(p, low, out=out[h : h + step])
+        c = min(step, len(high) - h)
+        np.multiply(table[h : h + c], np.uint16(0xFFFF), out=rows[:c])
+        np.bitwise_and(pairs[:c], ancilla, out=groups[:c])
+        p = np.bitwise_xor(m[:c], high[h : h + c, None], out=phase[:c])
+        np.subtract(p, m[:c], out=p)
+        np.multiply(p, low, out=out[h : h + c])
 
 
 def _stages(gates: Sequence[Gate]) -> list[tuple[str, list]]:
@@ -409,21 +443,30 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     C-contiguous (2^k, B) array `arr`, in place, and return the plan's number
     h of H gates.  The batch is left unscaled: 2^(h/2) times the normalized one.
 
-    The fill takes stage 0 of the plan, and a U in stage 1 whose ancilla stage 0
-    holds (phase kickback), or after an empty stage 0 an X/CNOT stage 1 as
-    sigma of each one-hot index, with no row gather; _apply_stages applies
-    the rest, which may hold no U of a tuple of tables.
+    The fill takes stage 0 of the plan, and with no row gather a U in stage 1
+    whose ancilla stage 0 holds (phase kickback), or an X/CNOT stage 1: after
+    an empty stage 0 as sigma of each one-hot index, and when stage 0 holds
+    all its wires as the index A^-T x and sign (-1)^|A^-T x & sigma(0)| of
+    each column (_dual); _apply_stages applies the rest, which may hold no
+    U of a tuple of tables.
     """
     lead = stages[0][1]
     kind, items = stages[1] if len(stages) > 1 else (None, [])
     kick = kind == "U" and items[0].qubits[0] in lead
     move = kind == "P" and not lead
-    done = 1 + (kick or move)
+    fold = kind == "P" and set(lead).issuperset(q for g in items for q in g.qubits)
+    done = 1 + (kick or move or fold)
     if any(s == "U" and isinstance(g[0].arg, tuple) for s, g in stages[done:]):
         raise ValueError("a U of a tuple of tables must follow a leading H run that holds its wire")
+    k = len(arr).bit_length() - 1
     if move:  # sigma of each one-hot column's index: the run reversed maps rows to their images
         index = np.array(index, np.int64)
-        _unpermute(items[::-1], len(arr).bit_length() - 1, index, np.empty_like(index), None)
+        _unpermute(items[::-1], k, index, np.empty_like(index), None)
+    elif fold:  # the run under H^(x)W: each column's index and sign as _dual sets out
+        high, low, b = _dual(tuple(items), k)
+        x = np.asarray(index, np.int64)
+        index = high[x >> k // 2] ^ low[x & (len(low) - 1)]
+        sign = _SIGN.take(np.bitwise_count(index & b), mode="wrap") * np.asarray(sign, np.int8)
     _fill(arr, index, sign, lead, items[0].arg if kick else None)
     _apply_stages(stages[done:], arr)
     return _count_h(stages)

@@ -384,19 +384,23 @@ def test_h_runs_are_one_butterfly_call_per_wire_range():
 def test_fill_matches_one_hot_butterflies_bit_for_bit(data):
     # The leading run, empty, partial or full and in any wire order, against
     # a one-hot batch put through the butterfly one wire at a time: the
-    # same bytes, so no -0.0 where the butterfly leaves +0.0.
+    # same bytes, so no -0.0 where the butterfly leaves +0.0, in either
+    # dtype and at chunks that split the fill's rows.
     k = data.draw(hyp.integers(1, 10))
     width = data.draw(hyp.integers(1, 17))
     index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
     sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
     wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(0, k))]
-    arr = np.empty((1 << k, width))
-    assert _simulate_batch(_stages(tuple(H(q) for q in wires)), index, sign, arr) == len(wires)
-    want = np.zeros((1 << k, width))
+    dtype, view = data.draw(hyp.sampled_from([(np.float32, np.uint32), (np.float64, np.uint64)]))
+    arr = np.empty((1 << k, width), dtype)
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        assert _simulate_batch(_stages(tuple(H(q) for q in wires)), index, sign, arr) == len(wires)
+    want = np.zeros((1 << k, width), dtype)
     want[index, np.arange(width)] = sign
     for q in wires:
         statevec.butterfly(want, q)
-    assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(arr.view(view), want.view(view))
     dense = _kron_on(k, dict.fromkeys(wires, _H2)) * 2.0 ** (len(wires) / 2)
     assert np.allclose(arr, dense[:, index] * sign, rtol=0, atol=1e-9)
 
@@ -635,21 +639,24 @@ def test_equivalence_memory_is_bounded():
 
 
 def test_equivalence_maps_each_permutation_once():
-    # n = 11: 128 batches of 16 inputs.  The pipeline's CNOT run gets one row
-    # map for all of them, 2,048 rows and 2 chunk starts, and the compiled
-    # circuit's X run moves the 16 indices of each batch with no row gather.
+    # n = 11: 128 batches of 16 inputs.  The pipeline's CNOT run lies inside
+    # its leading H layer, so the fill folds it with no row gather, through
+    # one pair of 64-entry index tables for all batches; the compiled
+    # circuit's X run moves the 16 indices of each batch.
     f = hex_decode("0x" + "69" * 256)
     wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
-    circuits._row_map.cache_clear()
+    circuits._dual.cache_clear()
     with (
         mock.patch.object(circuits, "_unpermute", wraps=circuits._unpermute) as unpermute,
         mock.patch.object(circuits, "_permute", wraps=circuits._permute) as permute,
     ):
         assert assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
+    assert permute.call_count == 0
+    moves = [c.args for c in unpermute.call_args_list if len(c.args[2]) == 16]
+    assert len(moves) == 128
+    assert all(g.name == "X" for args in moves for g in args[0])
     mapped = sum(len(c.args[2]) for c in unpermute.call_args_list)
-    assert mapped <= 1 << 13, mapped
-    assert permute.call_count == 128
-    assert all(g.name == "CNOT" for c in permute.call_args_list for g in c.args[1])
+    assert mapped == 128 * 16 + 64 + 64 + 1, mapped
 
 
 def _permutation_matrix(g, k):
@@ -746,6 +753,86 @@ def test_leading_permutation_run_moves_the_one_hot_indices(data):
         circuits._apply_stages(stages[1:], want)
     assert h == sum(g.name == "H" for g in gates)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hyp.data())
+def test_fill_folds_a_permutation_run_inside_its_wires_bit_for_bit(data):
+    # A leading run of H on W, then an X/CNOT run that lies inside W (the
+    # fill folds it) or has one wire outside it (a row gather), maybe then
+    # an H or R stage: the same bytes as the fill of W followed by the rest
+    # of the plan, at chunks that split the tiled fill, and the dense
+    # unitary's columns.
+    k = data.draw(hyp.integers(1, 10))
+    width = data.draw(hyp.integers(1, 17))
+    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
+    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
+    lead = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(1, k))]
+    outside = sorted(set(range(k)) - set(lead))
+    fold = not outside or data.draw(hyp.booleans())
+    inside = hyp.sampled_from(lead)
+    run = []
+    for _ in range(data.draw(hyp.integers(int(fold), 8))):
+        if len(lead) > 1 and data.draw(hyp.booleans()):
+            c, t = data.draw(hyp.permutations(lead))[:2]
+            run.append(CNOT(c, t))
+        else:
+            run.append(X(data.draw(inside)))
+    if not fold:
+        q = data.draw(hyp.sampled_from(outside))
+        c = data.draw(inside)
+        gate = data.draw(hyp.sampled_from([X(q), CNOT(c, q), CNOT(q, c)]))
+        run.insert(data.draw(hyp.integers(0, len(run))), gate)
+    after = data.draw(hyp.sampled_from(["", "H", "R"]))
+    rest = ()
+    if after == "H":
+        wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(1, k))]
+        rest = tuple(H(q) for q in wires)
+    elif after == "R":
+        rest = (Gate("R", (data.draw(hyp.integers(0, k - 1)),), data.draw(hyp.floats(-4, 4))),)
+    gates = tuple(H(q) for q in lead) + tuple(run) + rest
+    stages = _stages(gates)
+    assert stages[1][0] == "P"
+    dtypes = [(np.float64, np.uint64)] + [(np.float32, np.uint32)] * (after != "R")
+    dtype, view = data.draw(hyp.sampled_from(dtypes))
+    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
+    got, want = np.empty((1 << k, width), dtype), np.empty((1 << k, width), dtype)
+    with mock.patch.object(statevec, "_CHUNK", chunk):
+        with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
+            h = _simulate_batch(stages, index, sign, got)
+        circuits._fill(want, index, sign, lead)
+        circuits._permute(want, stages[1][1])
+        circuits._apply_stages(stages[2:], want)
+    assert h == sum(g.name == "H" for g in gates)
+    assert (stages[1][1] not in [c.args[1] for c in spy.call_args_list]) == fold
+    assert np.array_equal(got.view(view), want.view(view))
+    dense = dense_unitary(Circuit(k, gates))[:, index] * sign * 2.0 ** (h / 2)
+    assert np.allclose(got, dense, rtol=0, atol=1e-9 * 2.0 ** (h / 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.data())
+def test_each_single_gate_mutation_of_the_wiring_is_not_equivalent(data):
+    # The folded CNOT run still decides the verdict: dropping or reversing
+    # any one CNOT of the wiring, or adding an X anywhere on any wire, makes
+    # it differ from the compiled circuit on some ancilla-1 input.
+    n = data.draw(hyp.integers(1, 5))
+    mask = data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n))
+    f = from_parity_form(ParityForm(n, tuple(mask), data.draw(hyp.integers(0, 1))))
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    inputs = list(iter_basis_inputs(n + 1, last_bit=1))
+    assert assert_equivalent(wired, compiled, inputs=inputs)
+    gates = wired.gates
+    mutants = []
+    for i, g in enumerate(gates):
+        if g.name == "CNOT":
+            mutants.append(gates[:i] + gates[i + 1 :])
+            mutants.append(gates[:i] + (CNOT(g.qubits[1], g.qubits[0]),) + gates[i + 1 :])
+    for i in range(len(gates) + 1):
+        mutants += [gates[:i] + (X(q),) + gates[i:] for q in range(n + 1)]
+    assert len(mutants) == 2 * sum(mask) + (len(gates) + 1) * (n + 1)
+    for mutant in mutants:
+        assert not assert_equivalent(Circuit(n + 1, mutant), compiled, inputs=inputs), mutant
 
 
 @settings(max_examples=200, deadline=None)
