@@ -38,7 +38,7 @@ class CapError(ValueError):
 CAPS = {
     "n": 20,  # table variables: 2^n bytes, 1 MiB at 20, where hex decode + classify take 5 ms
     "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 5-8 ms
-    "equiv": 12,  # 2^(k-1) inputs of 2^k amplitudes: equiv 0.04-0.07 s at 12, 0.16-0.29 s at 13
+    "equiv": 12,  # assert_equivalent's 2^(k-1) inputs of 2^k amplitudes: 0.05 s at 12, 0.20-0.24 s at 13
     "matrix": 12,  # 4^k one-byte entries: 16 MiB and 32 MiB of text at 12, 4x per qubit more
     "verify": 8,  # 4^(n+1) pipelines: 0.09-0.10 s at 7, 0.45-0.81 s at 8, 4.3-6.4 s at 9
     "chart": 6,  # 2^n rows of 2^n cells: 33 KB of text at 6, 4x per n more

@@ -285,8 +285,8 @@ def hex_decode(text: str, n: int | None = None) -> TruthTable:
 
 def is_invariant_under(tt: TruthTable, delta) -> bool:
     """True iff f(x) = f(x XOR delta) for every input x."""
-    if len(delta) != tt.n:
-        raise ValueError(f"delta must have {tt.n} bits, got {len(delta)}")
+    if len(delta) != tt.n or any(b not in (0, 1) for b in delta):
+        raise ValueError(f"delta must be {tt.n} bits of 0 or 1, got {tuple(delta)}")
     f = np.frombuffer(tt.table, np.uint8)
     return bool(np.array_equal(f, f[np.arange(f.size) ^ bits_to_int(tuple(delta))]))
 

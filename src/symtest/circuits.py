@@ -5,11 +5,12 @@ wires plus a global +-1 sign.  The sign is tracked on the circuit rather
 than as a gate so that negative functions ("multiplied by -1") keep
 hardware-realistic gate lists.
 
-Equivalences are always established numerically, by simulating both
-circuits on basis inputs, never by rewrite identities.  Note that the
-Hadamard-sandwiched CNOT oracle agrees with its X-gate equivalent only
-on inputs whose function wire is |1>; on |0> ancilla inputs the sandwich
-is the identity.  assert_equivalent therefore takes an explicit input
+Equivalences are always established by simulating both circuits, never
+by rewrite identities: assert_equivalent on one state vector per input,
+equivalent on the Pauli generators (a Clifford tableau) and one column.
+Note that the Hadamard-sandwiched CNOT oracle agrees with its X-gate
+equivalent only on inputs whose function wire is |1>; on |0> ancilla
+inputs the sandwich is the identity.  Both checks therefore take an input
 set, and the pipeline checks pass the ancilla-1 basis states.
 
 Gate lists also hold the pipeline's U, the oracle of the truth table in
@@ -26,27 +27,21 @@ small +-1/0 factors (a one-hot scatter when it is empty); with no U, each
 row is the high factor tiled along the flat low factor, so that numpy's
 inner loop runs over a whole row of the batch.  It also writes a U in
 stage 1 whose ancilla stage 0 holds as the phase (-1)^(f(t) a) on rows
-2t, 2t+1, a the column's ancilla bit (phase kickback).  Such a U alone
-may hold a tuple of g tables, one for each of g consecutive, equal
-groups of columns, so that one pass simulates g functions.  An X/CNOT
-stage 1 moves indices, not rows: after an empty stage 0 the fill moves
-each one-hot index through it, and when stage 0 holds all its wires,
-the run sigma(x) = A x ^ b acts on each column H^(x)W |x> as CNOTs with
-their wires swapped (H CNOT(c, t) H = CNOT(t, c)), so the fill takes
-index A^-T x and sign (-1)^|A^-T x & b| instead (_dual).  Both write the
-exact state after stages 0 and 1, and later stages are simulated as
-they stand.
+2t, 2t+1, a the column's ancilla bit (phase kickback), the exact state
+after stages 0 and 1.  Such a U alone may hold a tuple of g tables, one
+for each of g consecutive, equal groups of columns, so that one pass
+simulates g functions.  Later stages are simulated as they stand.
 Each later H stage is one butterfly call per contiguous wire range
 (blocked +-1 matrix products, exact on integer amplitudes below 2^24 in
 float32), an X/CNOT stage or a U one in-place row gather a chunk at a time
-(pure copies, so exact; an X/CNOT run's affine row map is built once per
-run and chunk size), R a 2 x 2 block product.  The global sign goes into
-the fill's input signs, and statevec._scale applies the Hadamard scale once
-at the end, so a circuit with an even number of H gates is simulated
-exactly.  Read-out batches are float32 when _batch_dtype allows, else
-float64; simulate_circuit keeps float64.  assert_equivalent reads its inputs
-in chunks of at most 2^16 amplitudes (16 columns at 12 wires), simulated
-into one reused buffer per circuit in its dtype, so its memory stays bounded.
+(pure copies, so exact), R a 2 x 2 block product.  The global sign goes
+into the fill's input signs, and statevec._scale applies the Hadamard
+scale once at the end, so a circuit with an even number of H gates is
+simulated exactly.  Read-out batches are float32 when _batch_dtype allows,
+else float64; simulate_circuit keeps float64.  assert_equivalent reads its
+inputs in chunks of at most 2^16 amplitudes (16 columns at 12 wires),
+simulated into one reused buffer per circuit in its dtype, so its memory
+stays bounded.
 _amplitude reads one row of one column: it simulates the plan up to its
 tail, the trailing R stages and the H stage before them, and reads that
 tail into the row.
@@ -69,9 +64,9 @@ from .statevec import BasisKet, StateVector, _apply, _scale, butterfly, check_to
 # Amplitudes per batch in assert_equivalent, 256 KB of float32 or 512 KB of
 # float64 for each circuit: 16 input columns at 12 wires and fewer at more,
 # so its memory is bounded for any wire count.  At 12 wires, 4 columns ran
-# 1.7x slower; 32 ran equiv at n = 11 in 32-33 ms against 38 ms for 16 (2
-# vCPUs), but peaked at 1.15 MiB traced, at the edge of the 1.2 MiB that
-# test_equivalence_memory_is_bounded allows two 16-column batches.
+# 1.7x slower; 32 ran faster, but peaked at 1.15 MiB traced, at the edge of
+# the 1.2 MiB that test_equivalence_memory_is_bounded allows two 16-column
+# batches.
 _BATCH_AMPLITUDES = 1 << 16
 
 # (-1)^c for c = 0, 1; the fill takes it at a popcount c, wrapped mod 2.
@@ -196,8 +191,8 @@ def _hadamards(arr: np.ndarray, wires: list[int]) -> None:
 def _unpermute(gates: Sequence[Gate], k: int, idx, tmp, bits) -> None:
     """Map the rows in `idx` in place to their preimages under a run of X and
     CNOT gates, or one U gate (on an even number of consecutive rows), on k
-    wires: each gate is its own inverse, so the run is undone from its end,
-    and a reversed run maps rows to images.  `tmp` and `bits` are scratch."""
+    wires: each gate is its own inverse, so the run is undone from its end.
+    `tmp` and `bits` are scratch."""
     for g in reversed(gates):
         pos = [k - 1 - q for q in g.qubits]  # wire 0 is the most significant bit
         if g.name == "X":  # x ^= bit(q)
@@ -214,39 +209,6 @@ def _unpermute(gates: Sequence[Gate], k: int, idx, tmp, bits) -> None:
             np.bitwise_xor(idx, bits, out=idx)
 
 
-@functools.lru_cache(maxsize=4)  # each entry holds at most 64 KB of row map
-def _row_map(gates: tuple[Gate, ...], k: int, low: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """sigma^-1 of an X/CNOT run on k wires, for chunks of 2^low rows that each
-    draw from one source chunk: it is affine over GF(2), so row r of chunk j
-    comes from row starts[j] ^ base[r], starts[j] = sigma^-1(j << low) and
-    the read-only base[r] = sigma^-1(r) ^ sigma^-1(0) < 2^low."""
-    base, starts = np.arange(1 << low), np.arange(0, 1 << k, 1 << low)
-    for idx in (base, starts):
-        _unpermute(gates, k, idx, np.empty_like(idx), None)
-    base ^= base[0]
-    base.flags.writeable = False
-    return base, tuple(starts.tolist())
-
-
-@functools.lru_cache(maxsize=4)
-def _dual(gates: tuple[Gate, ...], k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """An X/CNOT run sigma(x) = A x ^ b on k wires, as it acts on the fill's
-    columns H^(x)W |x> when W holds all its wires: it leaves the column of
-    x' = A^-T x with sign (-1)^|x' & b|.  Under H a CNOT(c, t) reverses, so
-    x' takes x_c ^= x_t for each CNOT in order.  A^-T is linear, so it is
-    returned as two read-only tables on the high and low halves of x,
-    x' = high[x >> k//2] ^ low[x & (2^(k//2) - 1)], whose rows _unpermute
-    maps through the CNOTs swapped and reversed; b = sigma(0) is the image
-    of row 0 under the run reversed."""
-    swapped = [CNOT(g.qubits[1], g.qubits[0]) for g in reversed(gates) if g.name == "CNOT"]
-    high, low = np.arange(0, 1 << k, 1 << k // 2), np.arange(1 << k // 2)
-    zero = np.zeros(1, np.int64)
-    for idx, run in ((high, swapped), (low, swapped), (zero, gates[::-1])):
-        _unpermute(run, k, idx, np.empty_like(idx), None)
-    high.flags.writeable = low.flags.writeable = False
-    return high, low, int(zero[0])
-
-
 def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     """Apply a run of X and CNOT gates, or one U gate, to the rows of the
     C-contiguous (2^k, B) array `arr` in place, as one row gather: row i of
@@ -256,11 +218,10 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
     but at least two rows, through buffers allocated once per call.  sigma
     changes only target bits, so a chunk draws its rows from one source
     chunk, and chunks move along the cycles of that map with one chunk held
-    aside.  A chunk costs one XOR and one take on an X/CNOT run's cached
-    _row_map; a U, not affine, maps its rows through its slice of the table.
-    A CNOT with its target above the chunk and its control inside breaks
-    that rule; it is applied alone, as a masked exchange of chunk pairs
-    through the held chunk.
+    aside.  Each chunk maps its rows through _unpermute and reads its source
+    chunk from the first mapped row.  A CNOT with its target above the chunk
+    and its control inside breaks that rule; it is applied alone, as a
+    masked exchange of chunk pairs through the held chunk.
     """
     k = len(arr).bit_length() - 1
     low = min(k, max(2, statevec._CHUNK // max(4, arr.shape[1])).bit_length() - 1)  # row bits in a chunk
@@ -286,7 +247,6 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
                         np.copyto(chunks[j], chunks[j | step], where=mask)
                         np.copyto(chunks[j | step], held, where=mask)
             continue
-        base, starts = (None, None) if part[0].name == "U" else _row_map(part, k, low)
         moved = [False] * len(chunks)
         for first in range(len(chunks)):
             if moved[first]:
@@ -295,14 +255,10 @@ def _permute(arr: np.ndarray, gates: list[Gate]) -> None:
             j = first
             while not moved[j]:
                 moved[j] = True
-                if base is None:  # U moves rows only within their pair, so within the chunk
-                    np.add(rows, j << low, out=idx)
-                    _unpermute(part, k, idx, tmp, bits)
-                    np.bitwise_and(idx, len(rows) - 1, out=idx)
-                    source = j
-                else:
-                    np.bitwise_xor(base, starts[j] & (len(rows) - 1), out=idx)
-                    source = starts[j] >> low
+                np.add(rows, j << low, out=idx)
+                _unpermute(part, k, idx, tmp, bits)
+                source = int(idx[0]) >> low
+                np.bitwise_and(idx, len(rows) - 1, out=idx)
                 origin = held if source == first else chunks[source]
                 np.take(origin, idx, axis=0, out=chunks[j], mode="clip")
                 j = source
@@ -346,7 +302,7 @@ def _fill(
     high[h] tiled len(low) times, times the flat low factor, so the int8
     product's inner loop runs over the row's 2^(k//2) B entries instead of B.
     With no wires it is the one-hot scatter: the product writes the same
-    batch in 43-52 us per (4096, 16) float32 equiv batch, factors included,
+    batch in 43-52 us per (4096, 16) float32 batch, factors included,
     and the scatter in 12-20 us (2 vCPUs).
 
     With `u`, the table of a U gate right after the run, W holds the
@@ -444,31 +400,16 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     h of H gates.  The batch is left unscaled: 2^(h/2) times the normalized one.
 
     The fill takes stage 0 of the plan, and with no row gather a U in stage 1
-    whose ancilla stage 0 holds (phase kickback), or an X/CNOT stage 1: after
-    an empty stage 0 as sigma of each one-hot index, and when stage 0 holds
-    all its wires as the index A^-T x and sign (-1)^|A^-T x & sigma(0)| of
-    each column (_dual); _apply_stages applies the rest, which may hold no
-    U of a tuple of tables.
+    whose ancilla stage 0 holds (phase kickback); _apply_stages applies the
+    rest, which may hold no U of a tuple of tables.
     """
     lead = stages[0][1]
     kind, items = stages[1] if len(stages) > 1 else (None, [])
     kick = kind == "U" and items[0].qubits[0] in lead
-    move = kind == "P" and not lead
-    fold = kind == "P" and set(lead).issuperset(q for g in items for q in g.qubits)
-    done = 1 + (kick or move or fold)
-    if any(s == "U" and isinstance(g[0].arg, tuple) for s, g in stages[done:]):
+    if any(s == "U" and isinstance(g[0].arg, tuple) for s, g in stages[1 + kick :]):
         raise ValueError("a U of a tuple of tables must follow a leading H run that holds its wire")
-    k = len(arr).bit_length() - 1
-    if move:  # sigma of each one-hot column's index: the run reversed maps rows to their images
-        index = np.array(index, np.int64)
-        _unpermute(items[::-1], k, index, np.empty_like(index), None)
-    elif fold:  # the run under H^(x)W: each column's index and sign as _dual sets out
-        high, low, b = _dual(tuple(items), k)
-        x = np.asarray(index, np.int64)
-        index = high[x >> k // 2] ^ low[x & (len(low) - 1)]
-        sign = _SIGN.take(np.bitwise_count(index & b), mode="wrap") * np.asarray(sign, np.int8)
     _fill(arr, index, sign, lead, items[0].arg if kick else None)
-    _apply_stages(stages[done:], arr)
+    _apply_stages(stages[1 + kick :], arr)
     return _count_h(stages)
 
 
@@ -571,3 +512,61 @@ def assert_equivalent(
         if not float(np.abs(diff, out=diff).max()) <= tol:  # compared in float64, as tol is
             return False
     return True
+
+
+def _images(circ: Circuit) -> np.ndarray:
+    """Where an H/X/CNOT circuit sends X_0 .. X_(k-1), Z_0 .. Z_(k-1) by
+    conjugation: row i of the bool (2k, 2k + 1) result holds the bits x, z
+    and r of generator i's image (-1)^r X^x Z^z.  The bit rules are the CHP
+    tableau's (Aaronson & Gottesman 2004), with the sign kept for the
+    ordered product X^x Z^z rather than for Y, so a CNOT flips no sign."""
+    k = circ.wires
+    t = np.eye(2 * k, 2 * k + 1, dtype=bool)
+    x, z, r = t[:, :k], t[:, k:-1], t[:, -1]
+    for g in circ.gates:
+        if g.name == "H":  # H X^x Z^z H = Z^x X^z = (-1)^(x z) X^z Z^x
+            q = g.qubits[0]
+            r ^= x[:, q] & z[:, q]
+            t[:, [q, k + q]] = t[:, [k + q, q]]
+        elif g.name == "X":  # X Z X = -Z
+            r ^= z[:, g.qubits[0]]
+        elif g.name == "CNOT":  # X_c -> X_c X_t and Z_t -> Z_c Z_t
+            c, target = g.qubits
+            x[:, target] ^= x[:, c]
+            z[:, c] ^= z[:, target]
+        else:
+            raise ValueError(f"equivalent takes H, X and CNOT gates, not {g.name}")
+    return t
+
+
+def equivalent(a: Circuit, b: Circuit, last_bit: int | None = None) -> bool:
+    """True iff the H/X/CNOT circuits a and b produce the same vector on
+    every input of iter_basis_inputs(a.wires, last_bit), as assert_equivalent
+    finds by simulating each input.
+
+    With last_bit set, the inputs span the states that P = (-1)^last_bit Z
+    of the last wire stabilizes, and a and b agree on them up to a sign iff
+    each X_q and Z_q of the other wires has, under a, its image under b or
+    that image times b P b^dagger, and Z of the last wire has the same image
+    under both (times b P b^dagger it would be +-I).  With no last bit each
+    image must be the same.  The sign is the overlap of the two circuits'
+    simulated columns at |0...0, last_bit>.
+    """
+    if a.wires != b.wires:
+        raise ValueError(f"wire counts differ: {a.wires} vs {b.wires}")
+    k = a.wires
+    _check_cap("equiv", k, f"equivalence check on {k} wires")
+    ket = BasisKet(1, (0,) * (k - 1) + (last_bit or 0,))
+    ta, tb = _images(a), _images(b)
+    same = (ta == tb).all(axis=1)
+    if last_bit is not None:
+        p = tb[-1].copy()  # the last row is Z of the last wire
+        p[-1] ^= bool(last_bit)
+        # (X^x Z^z)(X^x' Z^z') = (-1)^|z & x'| X^(x ^ x') Z^(z ^ z')
+        times_p = tb ^ p
+        times_p[:, -1] ^= np.logical_xor.reduce(tb[:, k:-1] & p[:k], axis=1)
+        same |= (ta == times_p).all(axis=1)
+        same[k - 1] = True  # X of the last wire leaves the input set
+    if not same.all():
+        return False
+    return float(simulate_circuit(a, ket).amplitudes @ simulate_circuit(b, ket).amplitudes) > 0

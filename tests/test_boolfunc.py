@@ -440,6 +440,10 @@ def test_invariance_agrees_with_mask_parity(n):
 def test_invariance_length_check():
     with pytest.raises(ValueError):
         is_invariant_under(tt("0110"), (1, 0, 1))
+    # Each entry is one bit: (0, 3) is not read as (1, 1), nor (2, 0) as a row.
+    for delta in ((0, 3), (2, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"^delta must be 2 bits of 0 or 1, got \(\d, -?\d\)$"):
+            is_invariant_under(tt("0011"), delta)
 
 
 # type validation

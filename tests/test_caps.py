@@ -80,6 +80,12 @@ ENTRY_POINTS = {
             True,
             int,
         ),
+        (
+            lambda k: circuits.equivalent(circuits.Circuit(k), circuits.Circuit(k)),
+            "equivalence check on {} wires",
+            True,
+            int,
+        ),
     ],
     "matrix": [(lambda f: oracle.QuantumOracle(f).matrix(), "matrix on {} qubits", True, _qubits)],
     "verify": [(pipeline.verify_all, "verify for n={}", True, int)],

@@ -32,6 +32,7 @@ from symtest.circuits import (
     _stages,
     assert_equivalent,
     compile_equivalent,
+    equivalent,
     hadamard_layer,
     iter_basis_inputs,
     oracle_as_cnots,
@@ -107,15 +108,20 @@ def test_pipeline_circuit_equals_compiled_on_ancilla_one(table):
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_equivalence_generalizes(n):
+    # Every admissible f: the wiring equals the compiled circuit on the
+    # ancilla-1 inputs, and equivalent gives assert_equivalent's verdict on
+    # the wiring and each single-gate mutant of it, on every input set.
     pos, neg = generate_functions(n)
     for f in pos + neg:
-        assert assert_equivalent(
-            pipeline_as_circuit(f),
-            compile_equivalent(f),
-            inputs=iter_basis_inputs(n + 1, last_bit=1),
-        )
+        wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+        assert assert_equivalent(wired, compiled, inputs=iter_basis_inputs(n + 1, last_bit=1))
+        for gates in [wired.gates] + _single_gate_mutants(wired.gates, n + 1):
+            a = Circuit(n + 1, gates)
+            for last_bit in (None, 0, 1):
+                want = assert_equivalent(a, compiled, inputs=iter_basis_inputs(n + 1, last_bit))
+                assert equivalent(a, compiled, last_bit) == want, (a, last_bit)
 
 
 def test_compiled_circuit_reproduces_run():
@@ -198,10 +204,16 @@ def test_x_gates_commute():
 
 
 def test_assert_equivalent_validation():
-    with pytest.raises(ValueError):
-        assert_equivalent(Circuit(2), Circuit(3))
-    with pytest.raises(ValueError):
-        assert_equivalent(Circuit(13), Circuit(13))
+    for check in (assert_equivalent, equivalent):
+        with pytest.raises(ValueError, match="wire counts differ: 2 vs 3"):
+            check(Circuit(2), Circuit(3))
+        with pytest.raises(ValueError):
+            check(Circuit(13), Circuit(13))
+    # equivalent decides H/X/CNOT circuits only.
+    for gate in (Gate("U", (2,), tt("0110")), Gate("R", (0,), 0.5)):
+        for pair in ((Circuit(3, (gate,)), Circuit(3)), (Circuit(3), Circuit(3, (H(0), gate)))):
+            with pytest.raises(ValueError, match=f"H, X and CNOT gates, not {gate.name}"):
+                equivalent(*pair)
 
 
 def test_gate_validation():
@@ -318,6 +330,12 @@ def test_batch_kernel_matches_dense_reference(data):
     want = all(np.abs(dense_output(a, ket) - dense_output(b, ket)).max() <= 1e-9 for ket in kets)
     with mock.patch.object(circuits, "_BATCH_AMPLITUDES", columns << k):
         assert assert_equivalent(a, b, inputs=kets) == want
+    for last_bit in (None, 0, 1):
+        dense = all(
+            np.abs(dense_output(a, ket) - dense_output(b, ket)).max() <= 1e-9
+            for ket in iter_basis_inputs(k, last_bit)
+        )
+        assert equivalent(a, b, last_bit) == dense, last_bit
 
 
 def test_kernel_covers_both_cnot_orders_and_h_parities():
@@ -638,27 +656,6 @@ def test_equivalence_memory_is_bounded():
         assert peak < 1.2 * 1024 * 1024, peak
 
 
-def test_equivalence_maps_each_permutation_once():
-    # n = 11: 128 batches of 16 inputs.  The pipeline's CNOT run lies inside
-    # its leading H layer, so the fill folds it with no row gather, through
-    # one pair of 64-entry index tables for all batches; the compiled
-    # circuit's X run moves the 16 indices of each batch.
-    f = hex_decode("0x" + "69" * 256)
-    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
-    circuits._dual.cache_clear()
-    with (
-        mock.patch.object(circuits, "_unpermute", wraps=circuits._unpermute) as unpermute,
-        mock.patch.object(circuits, "_permute", wraps=circuits._permute) as permute,
-    ):
-        assert assert_equivalent(wired, compiled, inputs=iter_basis_inputs(12, last_bit=1))
-    assert permute.call_count == 0
-    moves = [c.args for c in unpermute.call_args_list if len(c.args[2]) == 16]
-    assert len(moves) == 128
-    assert all(g.name == "X" for args in moves for g in args[0])
-    mapped = sum(len(c.args[2]) for c in unpermute.call_args_list)
-    assert mapped == 128 * 16 + 64 + 64 + 1, mapped
-
-
 def _permutation_matrix(g, k):
     """The 0/1 matrix of one X, CNOT or U gate on k wires, built from the
     gate's definition on basis states: |x> goes to |g(x)>."""
@@ -706,8 +703,7 @@ def test_permutation_runs_match_dense_permutations(data):
     # One row gather per run of X and CNOT gates and one per U, at chunks of
     # 4 and 64 amplitudes and the default: bit-identical to the gates
     # applied one by one as matrices.  The same plan then runs on a second
-    # batch at another width and chunk, so a row map kept for the wrong
-    # chunk size fails.
+    # batch at another width and chunk.
     k = data.draw(hyp.integers(1, 10))
     gates = data.draw(permutation_runs(k))
     stages = circuits._stages(gates)
@@ -728,111 +724,68 @@ def test_permutation_runs_match_dense_permutations(data):
         assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
 
 
-@settings(max_examples=80, deadline=None)
-@given(hyp.data())
-def test_leading_permutation_run_moves_the_one_hot_indices(data):
-    # With no leading H, the kernel moves each column's index through the
-    # first X/CNOT run and scatters there: the same bytes as the one-hot
-    # fill followed by the rest of the plan, that run's row gather included,
-    # with U stages and maybe an H/X/CNOT circuit after it.  The run holds a
-    # CNOT from a wire inside the chunk into wire 0, above it, where k > 1,
-    # and an X where k = 1, so it is never empty and no H leads the plan.
-    k = data.draw(hyp.integers(1, 10))
-    width = data.draw(hyp.integers(1, 17))
-    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
-    run = data.draw(permutation_runs(k))
-    run.insert(data.draw(hyp.integers(0, len(run))), CNOT(k - 1, 0) if k > 1 else X(0))
-    gates = run + list(data.draw(circuits_on(k)).gates if data.draw(hyp.booleans()) else ())
-    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
-    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
-    stages = _stages(gates)
-    got, want = np.empty((1 << k, width)), np.empty((1 << k, width))
-    with mock.patch.object(statevec, "_CHUNK", chunk):
-        h = _simulate_batch(stages, index, sign, got)
-        circuits._fill(want, index, sign, [])
-        circuits._apply_stages(stages[1:], want)
-    assert h == sum(g.name == "H" for g in gates)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@settings(max_examples=100, deadline=None)
-@given(hyp.data())
-def test_fill_folds_a_permutation_run_inside_its_wires_bit_for_bit(data):
-    # A leading run of H on W, then an X/CNOT run that lies inside W (the
-    # fill folds it) or has one wire outside it (a row gather), maybe then
-    # an H or R stage: the same bytes as the fill of W followed by the rest
-    # of the plan, at chunks that split the tiled fill, and the dense
-    # unitary's columns.
-    k = data.draw(hyp.integers(1, 10))
-    width = data.draw(hyp.integers(1, 17))
-    index = data.draw(hyp.lists(hyp.integers(0, (1 << k) - 1), min_size=width, max_size=width))
-    sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=width, max_size=width))
-    lead = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(1, k))]
-    outside = sorted(set(range(k)) - set(lead))
-    fold = not outside or data.draw(hyp.booleans())
-    inside = hyp.sampled_from(lead)
-    run = []
-    for _ in range(data.draw(hyp.integers(int(fold), 8))):
-        if len(lead) > 1 and data.draw(hyp.booleans()):
-            c, t = data.draw(hyp.permutations(lead))[:2]
-            run.append(CNOT(c, t))
-        else:
-            run.append(X(data.draw(inside)))
-    if not fold:
-        q = data.draw(hyp.sampled_from(outside))
-        c = data.draw(inside)
-        gate = data.draw(hyp.sampled_from([X(q), CNOT(c, q), CNOT(q, c)]))
-        run.insert(data.draw(hyp.integers(0, len(run))), gate)
-    after = data.draw(hyp.sampled_from(["", "H", "R"]))
-    rest = ()
-    if after == "H":
-        wires = data.draw(hyp.permutations(range(k)))[: data.draw(hyp.integers(1, k))]
-        rest = tuple(H(q) for q in wires)
-    elif after == "R":
-        rest = (Gate("R", (data.draw(hyp.integers(0, k - 1)),), data.draw(hyp.floats(-4, 4))),)
-    gates = tuple(H(q) for q in lead) + tuple(run) + rest
-    stages = _stages(gates)
-    assert stages[1][0] == "P"
-    dtypes = [(np.float64, np.uint64)] + [(np.float32, np.uint32)] * (after != "R")
-    dtype, view = data.draw(hyp.sampled_from(dtypes))
-    chunk = data.draw(hyp.sampled_from([4, 64, statevec._CHUNK]))
-    got, want = np.empty((1 << k, width), dtype), np.empty((1 << k, width), dtype)
-    with mock.patch.object(statevec, "_CHUNK", chunk):
-        with mock.patch.object(circuits, "_permute", wraps=circuits._permute) as spy:
-            h = _simulate_batch(stages, index, sign, got)
-        circuits._fill(want, index, sign, lead)
-        circuits._permute(want, stages[1][1])
-        circuits._apply_stages(stages[2:], want)
-    assert h == sum(g.name == "H" for g in gates)
-    assert (stages[1][1] not in [c.args[1] for c in spy.call_args_list]) == fold
-    assert np.array_equal(got.view(view), want.view(view))
-    dense = dense_unitary(Circuit(k, gates))[:, index] * sign * 2.0 ** (h / 2)
-    assert np.allclose(got, dense, rtol=0, atol=1e-9 * 2.0 ** (h / 2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(hyp.data())
-def test_each_single_gate_mutation_of_the_wiring_is_not_equivalent(data):
-    # The folded CNOT run still decides the verdict: dropping or reversing
-    # any one CNOT of the wiring, or adding an X anywhere on any wire, makes
-    # it differ from the compiled circuit on some ancilla-1 input.
-    n = data.draw(hyp.integers(1, 5))
-    mask = data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n))
-    f = from_parity_form(ParityForm(n, tuple(mask), data.draw(hyp.integers(0, 1))))
-    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
-    inputs = list(iter_basis_inputs(n + 1, last_bit=1))
-    assert assert_equivalent(wired, compiled, inputs=inputs)
-    gates = wired.gates
+def _single_gate_mutants(gates, wires):
+    """Each gate list one edit away from `gates`: a CNOT dropped or reversed,
+    or an X added at any position on any of the wires."""
     mutants = []
     for i, g in enumerate(gates):
         if g.name == "CNOT":
             mutants.append(gates[:i] + gates[i + 1 :])
             mutants.append(gates[:i] + (CNOT(g.qubits[1], g.qubits[0]),) + gates[i + 1 :])
     for i in range(len(gates) + 1):
-        mutants += [gates[:i] + (X(q),) + gates[i:] for q in range(n + 1)]
-    assert len(mutants) == 2 * sum(mask) + (len(gates) + 1) * (n + 1)
+        mutants += [gates[:i] + (X(q),) + gates[i:] for q in range(wires)]
+    return mutants
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.data())
+def test_each_single_gate_mutation_of_the_wiring_is_not_equivalent(data):
+    # The wiring's CNOT run decides the verdict: dropping or reversing any
+    # one CNOT of the wiring, or adding an X anywhere on any wire, makes it
+    # differ from the compiled circuit on some ancilla-1 input.
+    n = data.draw(hyp.integers(1, 5))
+    mask = data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n))
+    f = from_parity_form(ParityForm(n, tuple(mask), data.draw(hyp.integers(0, 1))))
+    wired, compiled = pipeline_as_circuit(f), compile_equivalent(f)
+    inputs = list(iter_basis_inputs(n + 1, last_bit=1))
+    assert assert_equivalent(wired, compiled, inputs=inputs)
+    assert equivalent(wired, compiled, last_bit=1)
+    mutants = _single_gate_mutants(wired.gates, n + 1)
+    assert len(mutants) == 2 * sum(mask) + (len(wired.gates) + 1) * (n + 1)
     for mutant in mutants:
-        assert not assert_equivalent(Circuit(n + 1, mutant), compiled, inputs=inputs), mutant
+        mutant = Circuit(n + 1, mutant)
+        assert not assert_equivalent(mutant, compiled, inputs=inputs), mutant
+        assert not equivalent(mutant, compiled, last_bit=1), mutant
+
+
+@settings(max_examples=100, deadline=None)
+@given(hyp.data())
+def test_equivalent_matches_the_simulation_on_pairs_equal_on_a_fixed_ancilla(data):
+    # a and b run the same circuits D, on the other wires, and C, around
+    # prefixes that act alike only when the last wire holds last_bit:
+    # CNOT(last, q) against X(q) when it is 1 and against nothing when it is
+    # 0, and H X H, Z on the last wire, against the sign (-1)^last_bit.  Half
+    # the time a takes one more gate, so the pair may differ anywhere.
+    k = data.draw(hyp.integers(2, 7))
+    last, last_bit = k - 1, data.draw(hyp.integers(0, 1))
+    prefix_a, prefix_b, sign = [], [], 1
+    for kind in data.draw(hyp.lists(hyp.sampled_from(["CNOT", "Z"]), min_size=1, max_size=3)):
+        if kind == "CNOT":
+            q = data.draw(hyp.integers(0, k - 2))
+            prefix_a.append(CNOT(last, q))
+            prefix_b += [X(q)] * last_bit
+        else:
+            prefix_a += [H(last), X(last), H(last)]
+            sign *= (-1) ** last_bit
+    if data.draw(hyp.booleans()):
+        at = data.draw(hyp.integers(0, len(prefix_a)))
+        prefix_a[at:at] = data.draw(circuits_on(k)).gates[:1]
+    d, c = data.draw(circuits_on(k - 1)), data.draw(circuits_on(k))
+    a = Circuit(k, d.gates + tuple(prefix_a) + c.gates, c.global_sign)
+    b = Circuit(k, d.gates + tuple(prefix_b) + c.gates, c.global_sign * sign)
+    for bit in (None, 0, 1):
+        want = assert_equivalent(a, b, inputs=iter_basis_inputs(k, bit))
+        assert equivalent(a, b, bit) == equivalent(b, a, bit) == want, bit
 
 
 @settings(max_examples=200, deadline=None)
@@ -891,10 +844,8 @@ def test_permutation_memory_at_20_wires(gates):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * state, peak
-    # The row gather alone, which simulate_circuit skips for a leading run: a
-    # held chunk, index scratch and the run's row map, no block-sized buffer.
+    # The row gather alone: a held chunk and index scratch, no block-sized buffer.
     arr = np.zeros((1 << 20, 1))
-    circuits._row_map.cache_clear()
     tracemalloc.start()
     try:
         circuits._apply_stages(_stages(gates)[1:], arr)
