@@ -40,7 +40,7 @@ CAPS = {
     "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 5-8 ms
     "equiv": 12,  # assert_equivalent's 2^(k-1) inputs of 2^k amplitudes: 0.05 s at 12, 0.20-0.24 s at 13
     "matrix": 12,  # 4^k one-byte entries: 16 MiB and 32 MiB of text at 12, 4x per qubit more
-    "verify": 8,  # 4^(n+1) pipelines: 0.09-0.10 s at 7, 0.45-0.81 s at 8, 4.3-6.4 s at 9
+    "verify": 9,  # 4^(n+1) pipelines: 0.05-0.06 s at 7, 0.26-0.38 s at 8, 1.7-2.6 s at 9
     "chart": 6,  # 2^n rows of 2^n cells: 33 KB of text at 6, 4x per n more
     "listing": 64 << 20,  # gen's bytes, 4x per n: 49.7 MiB (0.24-0.29 s) at n = 12, 198.7 at 13
 }

@@ -22,15 +22,16 @@ exact for the unfaulted pipeline: the first H layer is filled in closed
 form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
 row pairs read from f's table, not its parity form (phase kickback; a
 row gather after a first-layer rotation or with the ancilla's H
-skipped).  In run() and verify_all the second layer is one butterfly
-call, +-1 matrix products on integer amplitudes whose partial sums never
-exceed 2^k <= 2^20, and the 2k Hadamards leave each output column +-2^k
-in one row, read unscaled.  success_probability() needs one amplitude,
-so the second layer, and a rotation after it, are read into the
-predicted row instead (circuits._amplitude): one pass over the state
-after U, and no butterfly.  Batches are float32, exact below 2^24,
-unless a rotation fault adds an R stage (circuits._batch_dtype);
-run_vector returns float64.
+skipped).  In run() the second layer is one butterfly call, +-1 matrix
+products on integer amplitudes whose partial sums never exceed
+2^k <= 2^20, and the 2k Hadamards leave each output column +-2^k in one
+row, read unscaled.  success_probability() needs one amplitude, so the
+second layer, and a rotation after it, are read into the predicted row
+instead (circuits._amplitude): one pass over the state after U, and no
+butterfly.  verify_all reads each column after U against its predicted
+row's Hadamard row, and runs the second layer only on a batch that
+fails.  Batches are float32, exact below 2^24, unless a rotation fault
+adds an R stage (circuits._batch_dtype); run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +54,10 @@ from .circuits import (
     Circuit,
     Gate,
     _amplitude,
+    _apply_stages,
     _batch_dtype,
+    _count_h,
+    _factors,
     _simulate_batch,
     _stages,
     hadamard_layer,
@@ -245,11 +249,16 @@ def verify_all(n: int) -> VerifyReport:
     are one group of columns in a batch, and a batch holds as many f as fit
     in _BATCH_AMPLITUDES (4 at n = 6, one from n = 7), in the order of
     iter_tables: its U stage holds one table per group, which the fill
-    applies as each group's phase.  The readout of every column is then
-    compared with its f's parity-form prediction.  All batches share one
-    array, which the kernel fills and transforms in place: freeing it per
-    batch let malloc shrink and regrow the heap each time in some heap
-    layouts, and `verify 6` ran ~40 % slower.
+    applies as each group's phase.  The batch stops after U: with k = n + 1
+    and f's prediction s_j |y_j>, column j passes when its overlap with
+    h_j = H^(x)k |y_j> is s_j 2^k and its squared norm is 2^k = |h_j|^2,
+    which by Cauchy-Schwarz holds only for s_j h_j, the column the second
+    layer takes to s_j 2^k |y_j> (the overlap alone would pass a 2 and a 0
+    for two +-1).  The fill writes +-1, so every partial sum is an integer
+    within 2^k <= 2^10, exact in float32.  A batch with a failing column
+    runs the second layer and is read out as run() reads it.  All batches
+    share one array: freeing it per batch let malloc shrink and regrow the
+    heap each time in some heap layouts, and `verify 6` ran ~40 % slower.
     """
     _check_cap("verify", n, f"verify for n={n}")
     tables = iter_tables(n)  # checks n >= 1
@@ -269,15 +278,22 @@ def verify_all(n: int) -> VerifyReport:
         if buf is None:  # the first batch is the widest
             buf = np.empty(size, _batch_dtype(stages))
         arr = buf[:size].reshape(2 << n, -1)
-        h = _simulate_batch(stages, np.tile(index, len(group)), np.tile(sign, len(group)), arr)
-        got_index, got_sign = (a.reshape(len(group), -1) for a in read_basis_columns(arr, h))
+        _simulate_batch(stages[:2], np.tile(index, len(group)), np.tile(sign, len(group)), arr)
         report.total += arr.shape[1]
-        for f, f_index, f_sign in zip(group, got_index, got_sign):
-            want_index, want_sign = _prediction(to_parity_form(f), index, sign)
-            for j in np.flatnonzero((f_index != want_index) | (f_sign != want_sign)):
-                got = ket(f_sign[j], f_index[j]) if f_sign[j] else "NotBasisState"
+        want = [_prediction(to_parity_form(f), index, sign) for f in group]
+        want_index, want_sign = map(np.concatenate, zip(*want))
+        high, low = _factors(want_index, range(n + 1), n + 1)
+        overlap = np.einsum("abj,bj,aj->j", arr.reshape(len(high), len(low), -1), low, high)
+        norm = np.einsum("ij,ij->j", arr, arr)
+        if ((overlap == want_sign * (2 << n)) & (norm == 2 << n)).all():
+            continue
+        _apply_stages(stages[2:], arr)
+        got = (a.reshape(len(group), -1) for a in read_basis_columns(arr, _count_h(stages)))
+        for f, (f_want_index, f_want_sign), f_index, f_sign in zip(group, want, *got):
+            for j in np.flatnonzero((f_index != f_want_index) | (f_sign != f_want_sign)):
+                got_ket = ket(f_sign[j], f_index[j]) if f_sign[j] else "NotBasisState"
                 report.failures.append(
-                    f"f={padded_hex(f)} x={ket(sign[j], index[j])} got={got} "
-                    f"want={ket(want_sign[j], want_index[j])}"
+                    f"f={padded_hex(f)} x={ket(sign[j], index[j])} got={got_ket} "
+                    f"want={ket(f_want_sign[j], f_want_index[j])}"
                 )
     return report

@@ -262,6 +262,102 @@ def test_verify_all_groups_4_functions_per_batch_at_6(monkeypatch):
     assert report.render().splitlines()[-1] == "FAIL 256/16384"
 
 
+def test_a_passing_verify_runs_no_second_layer_and_no_readout():
+    # Each column after U is checked against its predicted row, so a passing
+    # sweep makes no butterfly and no read_basis_columns call; a failing
+    # batch, here the first of 32 at n = 6, makes one of each.
+    f0, f1 = (TruthTable(6, t) for t in islice(iter_tables(6), 2))
+    with (
+        mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as layer,
+        mock.patch.object(pipeline, "read_basis_columns", wraps=read_basis_columns) as reader,
+    ):
+        assert verify_all(6).passed
+        assert (layer.call_count, reader.call_count) == (0, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            _swap_u_tables(mp, {f0: f1, f1: f0})
+            assert verify_all(6).summary() == "FAIL 256/16384"
+        assert (layer.call_count, reader.call_count) == (1, 1)
+
+
+def _reference_failures(n, swap):
+    """verify_all's lines when the U of each f in `swap` holds swap[f] instead,
+    a column at a time: run of the swapped table (NotBasisState where it
+    raises) against predict of f.  Every other f's U holds f, which passes."""
+    lines = []
+    for f in (TruthTable(n, t) for t in iter_tables(n)):
+        if f not in swap:
+            continue
+        for ket in signed_inputs(n):
+            want = predict(f, ket).output
+            try:
+                got = run(swap[f], ket).output
+            except NotBasisStateError:
+                got = "NotBasisState"
+            if got != want:
+                lines.append(f"f={padded_hex(f)} x={ket} got={got} want={want}")
+    return lines
+
+
+@settings(max_examples=20, deadline=None)
+@given(hyp.data())
+def test_a_flipped_u_entry_fails_every_column_of_its_f_alone(data):
+    n = data.draw(hyp.integers(2, 5))  # one batch up to n = 4, four at 5
+    f = TruthTable(n, data.draw(hyp.sampled_from(list(iter_tables(n)))))
+    flipped = bytearray(f.table)
+    flipped[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
+    swap = {f: TruthTable(n, flipped)}
+    with pytest.MonkeyPatch.context() as mp:
+        _swap_u_tables(mp, swap)
+        report = verify_all(n)
+    want = _reference_failures(n, swap)
+    assert want == [
+        f"f={padded_hex(f)} x={ket} got=NotBasisState want={predict(f, ket).output}"
+        for ket in signed_inputs(n)
+    ]
+    assert report.failures == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(hyp.data())
+def test_swapped_u_tables_read_as_each_others_predictions(data):
+    n = data.draw(hyp.integers(2, 5))
+    tables = [TruthTable(n, t) for t in iter_tables(n)]
+    pair = hyp.lists(hyp.sampled_from(tables), min_size=2, max_size=2, unique=True)
+    a, b = sorted(data.draw(pair), key=tables.index)
+    swap = {a: b, b: a}
+    with pytest.MonkeyPatch.context() as mp:
+        _swap_u_tables(mp, swap)
+        report = verify_all(n)
+    want = _reference_failures(n, swap)
+    assert want == [
+        f"f={padded_hex(f)} x={ket} got={predict(other, ket).output} want={predict(f, ket).output}"
+        for f, other in ((a, b), (b, a))
+        for ket in signed_inputs(n)
+    ]
+    assert report.failures == want
+
+
+def test_verify_checks_each_columns_norm_as_well_as_its_overlap(monkeypatch):
+    # Column 37 at n = 3, f number 2 on input number 5, gets one entry doubled
+    # and another zeroed after U.  Its overlap with its predicted row's +-1
+    # Hadamard row h is unchanged (+h_5^2 - h_11^2 = 0), so the overlap alone
+    # would pass it; its squared norm is 2^4 + 2, and the second layer leaves
+    # no basis state.
+    n, col = 3, 37
+    real = circuits._fill
+
+    def fill(arr, *args):
+        real(arr, *args)
+        arr[5, col] *= 2
+        arr[11, col] = 0
+
+    monkeypatch.setattr(circuits, "_fill", fill)
+    f = TruthTable(n, list(iter_tables(n))[col >> (n + 1)])
+    ket = list(signed_inputs(n))[col % (2 << n)]
+    want = f"f={padded_hex(f)} x={ket} got=NotBasisState want={predict(f, ket).output}"
+    assert verify_all(n).failures == [want]
+
+
 def _random_inputs(data, n, count):
     index = data.draw(hyp.lists(hyp.integers(0, (1 << n) - 1), min_size=1, max_size=count))
     sign = data.draw(hyp.lists(hyp.sampled_from([1, -1]), min_size=len(index), max_size=len(index)))
