@@ -37,7 +37,7 @@ class CapError(ValueError):
 # Every size cap, each set by the budget beside it (2 vCPUs, Python 3.11, numpy 2.4).
 CAPS = {
     "n": 20,  # table variables: 2^n bytes, 1 MiB at 20, where hex decode + classify take 5 ms
-    "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 5-8 ms
+    "qubits": 20,  # state wires: 2^k float64, 8 MiB at 20, where `run` takes 1.1-1.2 ms
     "equiv": 12,  # assert_equivalent's 2^(k-1) inputs of 2^k amplitudes: 0.05 s at 12, 0.20-0.24 s at 13
     "matrix": 12,  # 4^k one-byte entries: 16 MiB and 32 MiB of text at 12, 4x per qubit more
     "verify": 9,  # 4^(n+1) pipelines: 0.05-0.06 s at 7, 0.26-0.38 s at 8, 1.7-2.6 s at 9

@@ -1,7 +1,7 @@
 """The Hadamard-oracle-Hadamard pipeline and its analytic predictor.
 
-run() simulates H on all n+1 wires, then U_f, then H again, and reads
-off the signed basis state.  predict() computes the same result without
+run() simulates H on all n+1 wires and U_f, and reads off the signed
+basis state H again would leave.  predict() computes it without
 simulation from the parity form: output bits are x XOR mask, the ancilla
 stays 1, and the sign is the input sign times (-1)^complement.  The two
 paths are independent, so their agreement is the library's main
@@ -22,16 +22,14 @@ exact for the unfaulted pipeline: the first H layer is filled in closed
 form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
 row pairs read from f's table, not its parity form (phase kickback; a
 row gather after a first-layer rotation or with the ancilla's H
-skipped).  In run() the second layer is one butterfly call, +-1 matrix
-products on integer amplitudes whose partial sums never exceed
-2^k <= 2^20, and the 2k Hadamards leave each output column +-2^k in one
-row, read unscaled.  success_probability() needs one amplitude, so the
-second layer, and a rotation after it, are read into the predicted row
-instead (circuits._amplitude): one pass over the state after U, and no
-butterfly.  verify_all reads each column after U against its predicted
-row's Hadamard row, and runs the second layer only on a batch that
-fails.  Batches are float32, exact below 2^24, unless a rotation fault
-adds an R stage (circuits._batch_dtype); run_vector returns float64.
+skipped).  The second layer is read, never applied: the output is a
+signed basis state exactly when the state after U is +- its Hadamard
+row, so run() and verify_all read each column there (circuits._read_rows
+and _hadamard_rows), and success_probability() reads its one amplitude
+with the second layer, and a rotation after it, folded into the
+predicted row (circuits._amplitude).  Batches are float32, exact below
+2^24, unless a rotation fault adds an R stage (circuits._batch_dtype);
+run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
@@ -54,10 +52,10 @@ from .circuits import (
     Circuit,
     Gate,
     _amplitude,
-    _apply_stages,
     _batch_dtype,
-    _count_h,
     _factors,
+    _hadamard_rows,
+    _read_rows,
     _simulate_batch,
     _stages,
     hadamard_layer,
@@ -68,7 +66,6 @@ from .statevec import (
     NotBasisStateError,
     StateVector,
     butterfly,  # noqa: F401  (re-exported: perfbench's tracer wraps pipeline.butterfly)
-    read_basis_columns,
 )
 
 Layer = Literal["first", "second"]
@@ -165,14 +162,19 @@ def run_vector(f: TruthTable, input: BasisKet) -> StateVector:
 
 
 def run(f: TruthTable, input: BasisKet) -> PipelineResult:
-    """Simulate the pipeline and read off the signed basis state exactly.
+    """Simulate the pipeline up to U and read off, exactly, the signed basis
+    state the second H layer would leave (circuits._read_rows).
 
     Raises NotBasisStateError when the final vector is still a
     superposition, which happens exactly when f is not admissible: every
     Walsh value W is even, so each entry W/2^n is then at most 1 - 2^(1-n).
     """
     _check_input(f, input)
-    index, sign = read_basis_columns(*_simulate(f, [input.index], [input.sign]))
+    _check_cap("qubits", input.k, f"pipeline on {input.k} qubits")
+    stages = _stages(_gates(f, None))[:2]
+    arr = np.empty((1 << input.k, 1), _batch_dtype(stages))
+    _simulate_batch(stages, [input.index], [input.sign], arr)
+    index, sign = _read_rows(arr)
     if not sign[0]:
         raise NotBasisStateError(
             f"pipeline output for f={f.brief()} is not a basis state (function not admissible)"
@@ -249,16 +251,14 @@ def verify_all(n: int) -> VerifyReport:
     are one group of columns in a batch, and a batch holds as many f as fit
     in _BATCH_AMPLITUDES (4 at n = 6, one from n = 7), in the order of
     iter_tables: its U stage holds one table per group, which the fill
-    applies as each group's phase.  The batch stops after U: with k = n + 1
-    and f's prediction s_j |y_j>, column j passes when its overlap with
-    h_j = H^(x)k |y_j> is s_j 2^k and its squared norm is 2^k = |h_j|^2,
-    which by Cauchy-Schwarz holds only for s_j h_j, the column the second
-    layer takes to s_j 2^k |y_j> (the overlap alone would pass a 2 and a 0
-    for two +-1).  The fill writes +-1, so every partial sum is an integer
-    within 2^k <= 2^10, exact in float32.  A batch with a failing column
-    runs the second layer and is read out as run() reads it.  All batches
-    share one array: freeing it per batch let malloc shrink and regrow the
-    heap each time in some heap layouts, and `verify 6` ran ~40 % slower.
+    applies as each group's phase.  The batch stops after U: with f's
+    prediction s_j |y_j>, column j passes when it is s_j times the Hadamard
+    row of y_j (circuits._hadamard_rows), the column the second layer takes
+    to s_j 2^(n+1) |y_j>.  Each y_j is an input's index, so the factors of its
+    row are a column of the inputs' factors, computed once.  A batch with a
+    failing column is read as run() reads it.  All batches share one array:
+    freeing it per batch let malloc shrink and regrow the heap each time in
+    some heap layouts, and `verify 6` ran ~40 % slower.
     """
     _check_cap("verify", n, f"verify for n={n}")
     tables = iter_tables(n)  # checks n >= 1
@@ -266,6 +266,7 @@ def verify_all(n: int) -> VerifyReport:
     sign = np.tile([1, -1], 1 << n)
     per = max(1, _BATCH_AMPLITUDES // ((2 << n) * index.size))  # functions per batch
     layer = hadamard_layer(n + 1)
+    rows = _factors(index, range(n + 1), n + 1)
     report = VerifyReport(n, 0)
     buf = None
 
@@ -273,22 +274,19 @@ def verify_all(n: int) -> VerifyReport:
         return str(BasisKet(int(s), int_to_bits(int(i), n + 1)))
 
     while group := [TruthTable(n, table) for table in islice(tables, per)]:
-        stages = _stages(layer + (Gate("U", (n,), tuple(group)),) + layer)
+        stages = _stages(layer + (Gate("U", (n,), tuple(group)),))
         size = (2 << n) * index.size * len(group)
         if buf is None:  # the first batch is the widest
             buf = np.empty(size, _batch_dtype(stages))
         arr = buf[:size].reshape(2 << n, -1)
-        _simulate_batch(stages[:2], np.tile(index, len(group)), np.tile(sign, len(group)), arr)
+        _simulate_batch(stages, np.tile(index, len(group)), np.tile(sign, len(group)), arr)
         report.total += arr.shape[1]
         want = [_prediction(to_parity_form(f), index, sign) for f in group]
         want_index, want_sign = map(np.concatenate, zip(*want))
-        high, low = _factors(want_index, range(n + 1), n + 1)
-        overlap = np.einsum("abj,bj,aj->j", arr.reshape(len(high), len(low), -1), low, high)
-        norm = np.einsum("ij,ij->j", arr, arr)
-        if ((overlap == want_sign * (2 << n)) & (norm == 2 << n)).all():
+        # The inputs' column y has the index y | 1, which is y for each predicted (odd) y.
+        if _hadamard_rows(arr, want_sign, *(r.take(want_index, axis=1) for r in rows)).all():
             continue
-        _apply_stages(stages[2:], arr)
-        got = (a.reshape(len(group), -1) for a in read_basis_columns(arr, _count_h(stages)))
+        got = (a.reshape(len(group), -1) for a in _read_rows(arr))
         for f, (f_want_index, f_want_sign), f_index, f_sign in zip(group, want, *got):
             for j in np.flatnonzero((f_index != f_want_index) | (f_sign != f_want_sign)):
                 got_ket = ket(f_sign[j], f_index[j]) if f_sign[j] else "NotBasisState"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import ExitStack, contextmanager
 from difflib import SequenceMatcher
 from itertools import islice, product
 from unittest import mock
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from symtest import circuits, pipeline
+from symtest import circuits, pipeline, statevec
 from symtest.bitops import CAPS, int_to_bits
 from symtest.boolfunc import (
     NotAdmissibleError,
@@ -262,37 +263,54 @@ def test_verify_all_groups_4_functions_per_batch_at_6(monkeypatch):
     assert report.render().splitlines()[-1] == "FAIL 256/16384"
 
 
+@contextmanager
+def _second_layer_spies():
+    """Spies on circuits.butterfly, which every H stage after the fill calls,
+    and on read_basis_columns in each symtest module that holds it."""
+    layer = mock.Mock(wraps=circuits.butterfly)
+    reader = mock.Mock(wraps=read_basis_columns)
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(circuits, "butterfly", layer))
+        for module in (statevec, circuits, pipeline):
+            if hasattr(module, "read_basis_columns"):
+                stack.enter_context(mock.patch.object(module, "read_basis_columns", reader))
+        yield layer, reader
+
+
 def test_a_passing_verify_runs_no_second_layer_and_no_readout():
     # Each column after U is checked against its predicted row, so a passing
     # sweep makes no butterfly and no read_basis_columns call; a failing
-    # batch, here the first of 32 at n = 6, makes one of each.
+    # batch, here the first of 32 at n = 6, is read from the state after U
+    # as well, so it makes none either.
     f0, f1 = (TruthTable(6, t) for t in islice(iter_tables(6), 2))
-    with (
-        mock.patch.object(circuits, "butterfly", wraps=circuits.butterfly) as layer,
-        mock.patch.object(pipeline, "read_basis_columns", wraps=read_basis_columns) as reader,
-    ):
+    with _second_layer_spies() as (layer, reader):
         assert verify_all(6).passed
         assert (layer.call_count, reader.call_count) == (0, 0)
         with pytest.MonkeyPatch.context() as mp:
             _swap_u_tables(mp, {f0: f1, f1: f0})
             assert verify_all(6).summary() == "FAIL 256/16384"
-        assert (layer.call_count, reader.call_count) == (1, 1)
+        assert (layer.call_count, reader.call_count) == (0, 0)
+
+
+def _full_plan_read(f, kets):
+    """Each ket's output read the reference way: the whole plan, second H
+    layer included, simulated and scaled, then read_basis_columns."""
+    index, sign = [k.index for k in kets], [k.sign for k in kets]
+    return read_basis_columns(_scale(*pipeline._simulate(f, index, sign)))
 
 
 def _reference_failures(n, swap):
-    """verify_all's lines when the U of each f in `swap` holds swap[f] instead,
-    a column at a time: run of the swapped table (NotBasisState where it
-    raises) against predict of f.  Every other f's U holds f, which passes."""
+    """verify_all's lines when the U of each f in `swap` holds swap[f] instead:
+    the whole plan of the swapped table (NotBasisState where it reads none)
+    against predict of f.  Every other f's U holds f, which passes."""
     lines = []
+    kets = list(signed_inputs(n))
     for f in (TruthTable(n, t) for t in iter_tables(n)):
         if f not in swap:
             continue
-        for ket in signed_inputs(n):
+        for ket, index, sign in zip(kets, *_full_plan_read(swap[f], kets)):
             want = predict(f, ket).output
-            try:
-                got = run(swap[f], ket).output
-            except NotBasisStateError:
-                got = "NotBasisState"
+            got = BasisKet(int(sign), int_to_bits(int(index), n + 1)) if sign else "NotBasisState"
             if got != want:
                 lines.append(f"f={padded_hex(f)} x={ket} got={got} want={want}")
     return lines
@@ -356,6 +374,75 @@ def test_verify_checks_each_columns_norm_as_well_as_its_overlap(monkeypatch):
     ket = list(signed_inputs(n))[col % (2 << n)]
     want = f"f={padded_hex(f)} x={ket} got=NotBasisState want={predict(f, ket).output}"
     assert verify_all(n).failures == [want]
+
+
+def _check_reader(f, kets):
+    """_read_rows on the state after U, and run() on each ket, equal the
+    whole plan's read: the same signs, and the same index where the sign is
+    not 0; run() raises NotBasisStateError exactly where it is 0."""
+    stages = _stages(pipeline._gates(f, None))[:2]
+    arr = np.empty((2 << f.n, len(kets)), _batch_dtype(stages))
+    _simulate_batch(stages, [k.index for k in kets], [k.sign for k in kets], arr)
+    index, sign = circuits._read_rows(arr)
+    want_index, want_sign = _full_plan_read(f, kets)
+    assert sign.tolist() == want_sign.tolist()
+    assert index[sign != 0].tolist() == want_index[sign != 0].tolist()
+    for ket, i, s in zip(kets, want_index, want_sign):
+        if s:
+            assert run(f, ket).output == BasisKet(int(s), int_to_bits(int(i), f.n + 1))
+        else:
+            with pytest.raises(NotBasisStateError, match="not a basis state"):
+                run(f, ket)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reader_after_u_equals_the_whole_plan_read_on_every_table(n):
+    kets = list(signed_inputs(n))
+    for bits in product((0, 1), repeat=1 << n):
+        _check_reader(TruthTable(n, bits), kets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_reader_after_u_equals_the_whole_plan_read(data):
+    # Admissible tables, tables one entry away from one, and random tables,
+    # on inputs of both signs at n <= 12.
+    n = data.draw(hyp.integers(1, 12))
+    kind = data.draw(hyp.sampled_from(["admissible", "flipped", "random"]))
+    if kind == "random":
+        bits = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1))).integers(0, 2, 1 << n)
+    else:
+        bits = list(_random_function(data, n).bits)
+        if kind == "flipped":
+            bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
+    _check_reader(TruthTable(n, bits), _random_inputs(data, n, 8))
+
+
+def test_run_checks_the_norm_as_well_as_the_overlap(monkeypatch):
+    # As in the verify test above: one entry of the state after U doubled and
+    # another zeroed, neither of them a probed row 0 or 2^i, leave the overlap
+    # with the probed Hadamard row unchanged but the squared norm 2^4 + 2.
+    f, ket = tt("01101001"), parse_ket("-1011")
+    assert run(f, ket) == predict(f, ket)
+    real = circuits._fill
+
+    def fill(arr, *args):
+        real(arr, *args)
+        arr[5, 0] *= 2
+        arr[11, 0] = 0
+
+    monkeypatch.setattr(circuits, "_fill", fill)
+    with pytest.raises(NotBasisStateError, match="is not a basis state"):
+        run(f, ket)
+
+
+def test_run_at_19_makes_no_butterfly_and_no_readout_call():
+    n = 19
+    f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 1))
+    ket = BasisKet(-1, (1, 1, 0) * 6 + (0, 1))
+    with _second_layer_spies() as (layer, reader):
+        assert run(f, ket) == predict(f, ket)
+    assert (layer.call_count, reader.call_count) == (0, 0)
 
 
 def _random_inputs(data, n, count):
@@ -676,7 +763,7 @@ def test_success_probability_equals_the_whole_plan_read_exhaustively(n):
 
 def test_success_probability_makes_no_butterfly_call():
     # Every fault leaves the second layer last but for an R, so it is read
-    # into the predicted row; run still transforms the whole state.
+    # into the predicted row; run reads its output from the state after U.
     n = 4
     f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
     ket = BasisKet(-1, (0, 1, 1, 0, 1))
@@ -685,7 +772,7 @@ def test_success_probability_makes_no_butterfly_call():
             success_probability(f, ket, fault)
         assert spy.call_count == 0
         assert run(f, ket) == predict(f, ket)
-        assert spy.call_count == 1
+        assert spy.call_count == 0
 
 
 def test_run_memory_at_19_qubits():
