@@ -42,9 +42,11 @@ else float64; simulate_circuit keeps float64.  assert_equivalent reads its
 inputs in chunks of at most 2^16 amplitudes (16 columns at 12 wires),
 simulated into one reused buffer per circuit in its dtype, so its memory
 stays bounded.
-_amplitude reads one row of one column: it simulates the plan up to its
-tail, the trailing R stages and the H stage before them, and reads that
-tail into the row.
+_amplitude reads one row of one column: it reads the plan's tail, the
+trailing R stages and the H stage before them, into the row.  When only
+stage 0 and one U come before the tail, it contracts the fill's two
+factors, U's table and the row's two factors, and writes no batch;
+otherwise it simulates the plan up to the tail.
 """
 
 import functools
@@ -438,24 +440,25 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     return _count_h(stages)
 
 
-def _amplitude(
-    stages: list[tuple[str, list]], index, sign, row: int, arr: np.ndarray
-) -> tuple[float, int]:
+def _amplitude(stages: list[tuple[str, list]], k: int, index, sign, row: int) -> tuple[float, int]:
     """The unscaled amplitude at `row` that _simulate_batch would leave in the
-    one column sign[0] |index[0]> of the C-contiguous (2^k, 1) array `arr`,
-    and the plan's H count.
+    one column sign[0] |index[0]> of a (2^k, 1) batch, and the plan's H count.
 
-    Only the stages before the tail, the trailing R stages and the H stage
-    before them unless that is stage 0, are simulated.  Each R, from the
-    last, splits every readout row r into its two preimages on its wire,
-    weighted by <r|R.  H is symmetric, so <r|H^(x)W psi> = <H^(x)W r|psi>,
-    and H^(x)W |r> is the fill's column of r: the overlap is sum_j w_j
-    high_j @ (psi @ low_j) over its two _factors, one pass over psi.  In a
-    float32 plan the weights are 1 and every partial sum an integer within
-    the 2^24 that _batch_dtype bounds the butterfly's by, so the amplitude
-    is exact.
+    The tail, the trailing R stages and the H stage before them unless that
+    is stage 0, is read into the row.  Each R, from the last, splits every
+    readout row r into its two preimages on its wire, weighted by <r|R.  H
+    is symmetric, so <r|H^(x)W psi> = <H^(x)W r|psi>, and H^(x)W |r> is the
+    fill's column of r, with two _factors top and bottom (one-hot with no H).
+    When the head before the tail is stage 0 and one U of one table, no
+    batch is written: with the fill's factors high and low, U swaps low
+    rows 2t + b where u(t) = 1, so with s0 = sum_b low bottom and s1 = sum_b
+    low[2t + 1 - b] bottom[2t + b] each row's overlap is sum_h high top
+    (sum s0 + T (s1 - s0)), T the table as a (len(high), len(low) / 2) matrix
+    (Markov & Shi 2008).  Otherwise the head is simulated into a batch in the
+    plan's _batch_dtype and read.  Every partial sum is an integer within
+    2^k, or within the 2^24 that _batch_dtype bounds the butterfly's by, so
+    the amplitude is exact up to the R weights.
     """
-    k = len(arr).bit_length() - 1
     rows, weights, end = np.array([row]), np.ones(1), len(stages)
     while stages[end - 1][0] == "R":
         end -= 1
@@ -467,11 +470,21 @@ def _amplitude(
         rows = np.concatenate([rows & ~bit, rows | bit])
         weights = np.concatenate([weights * np.where(up, s, c), weights * np.where(up, c, -s)])
     fold = end > 1 and stages[end - 1][0] == "H"
-    h = _simulate_batch(stages[: end - fold], index, sign, arr) + _count_h(stages[end - fold :])
-    if not fold:
-        return float(arr[rows, 0] @ weights), h
-    high, low = _factors(rows, stages[end - 1][1], k)
-    overlaps = np.einsum("hj,hj->j", high, arr.reshape(len(high), len(low)) @ low)
+    head, h = stages[: end - fold], _count_h(stages)
+    top, bottom = _factors(rows, stages[end - 1][1] if fold else [], k)
+    kind, items = head[-1]
+    if len(head) == 2 and kind == "U" and isinstance(items[0].arg, TruthTable):
+        high, low = _factors(np.asarray(index, dtype=np.int64), head[0][1], k)
+        low, bottom = low.reshape(-1, 2, 1), bottom.reshape(-1, 2, len(rows))
+        s0 = np.einsum("tbj,tbj->tj", low, bottom, dtype=np.float32)
+        s1 = np.einsum("tbj,tbj->tj", low[:, ::-1], bottom, dtype=np.float32)
+        table = np.frombuffer(items[0].arg.table, np.uint8).reshape(len(high), -1)
+        inner = s0.sum(0) + table.astype(np.float32) @ (s1 - s0)
+        overlaps = np.einsum("hj,hj->j", high * top * np.int8(sign[0]), inner)
+        return float(overlaps @ weights), h
+    arr = np.empty((1 << k, 1), _batch_dtype(stages))
+    _simulate_batch(head, index, sign, arr)
+    overlaps = np.einsum("hj,hj->j", top, arr.reshape(len(top), -1) @ bottom)
     return float(overlaps @ weights), h
 
 

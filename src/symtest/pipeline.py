@@ -20,16 +20,17 @@ inputs of several f through in one pass, with one U table per f's group
 of columns, while run() and friends pass a single column.  Simulation is
 exact for the unfaulted pipeline: the first H layer is filled in closed
 form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
-row pairs read from f's table, not its parity form (phase kickback; a
-row gather after a first-layer rotation or with the ancilla's H
-skipped).  The second layer is read, never applied: the output is a
-signed basis state exactly when the state after U is +- its Hadamard
-row, so run() and verify_all read each column there (circuits._read_rows
-and _hadamard_rows), and success_probability() reads its one amplitude
-with the second layer, and a rotation after it, folded into the
-predicted row (circuits._amplitude).  Batches are float32, exact below
-2^24, unless a rotation fault adds an R stage (circuits._batch_dtype);
-run_vector returns float64.
+row pairs read from f's table, not its parity form (phase kickback).
+The second layer is read, never applied: the output is a signed basis
+state exactly when the state after U is +- its Hadamard row, so run()
+and verify_all read each column there (circuits._read_rows and
+_hadamard_rows).  success_probability() contracts its one amplitude
+from the fill's factors, U's table and the predicted row, with the
+second layer, and a rotation after it, folded into that row
+(circuits._amplitude), and writes no state; only a first-layer rotation
+is simulated, with U a row gather.  Batches are float32, exact
+below 2^24, unless a rotation fault adds an R stage
+(circuits._batch_dtype); run_vector returns float64.
 """
 
 from dataclasses import dataclass, field
@@ -136,17 +137,6 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
     return layers["first"] + (Gate("U", (f.n,), f),) + layers["second"]
 
 
-def _simulate(f: TruthTable, index, sign, fault: Fault | None = None) -> tuple[np.ndarray, int]:
-    """Unnormalized output for a batch of signed basis inputs, column j starting
-    as sign[j] * |index[j]>, and its H count; the batch is in the gate list's
-    _batch_dtype."""
-    k = f.n + 1
-    _check_cap("qubits", k, f"pipeline on {k} qubits")
-    stages = _stages(_gates(f, fault))
-    arr = np.empty((1 << k, len(index)), _batch_dtype(stages))
-    return arr, _simulate_batch(stages, index, sign, arr)
-
-
 def _prediction(pf: ParityForm, index, sign):
     """Predicted output (index, sign) for the input sign * |x, 1>, given by
     its full ket index (ancilla included): sign * (-1)^c |x XOR m, 1>.
@@ -208,7 +198,9 @@ def success_probability(f: TruthTable, input: BasisKet, fault: Fault | None = No
     Exactly 1.0 when no fault is injected; anything less flags a loss of
     coherence or a broken gate.  Only the one amplitude at the predicted
     row is computed: the second H layer, and a rotation after it, are read
-    into that row instead of applied to the state (circuits._amplitude).
+    into that row, and the fill and U are contracted with it, so no state
+    is written unless a first-layer rotation must be simulated
+    (circuits._amplitude).
     The unnormalized overlap is squared before the 2^-h scale of the h
     Hadamards is applied, so that scale stays an exact power of two even
     when a skipped Hadamard leaves h odd.
@@ -217,8 +209,7 @@ def success_probability(f: TruthTable, input: BasisKet, fault: Fault | None = No
     _check_cap("qubits", k, f"pipeline on {k} qubits")  # before predict() builds f's parity table
     target = predict(f, input).output
     stages = _stages(_gates(f, fault))
-    arr = np.empty((1 << k, 1), _batch_dtype(stages))
-    amplitude, h = _amplitude(stages, [input.index], [input.sign], target.index, arr)
+    amplitude, h = _amplitude(stages, k, [input.index], [input.sign], target.index)
     overlap = amplitude * target.sign
     return overlap * overlap * 2.0 ** -h
 

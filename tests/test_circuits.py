@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from functools import reduce
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -952,12 +952,80 @@ def test_amplitude_reads_each_row_of_the_simulated_batch(data):
     want = np.empty((1 << k, 1), _batch_dtype(stages))
     h = _simulate_batch(stages, [ket.index], [ket.sign], want)
     for row in range(1 << k):
-        got, got_h = _amplitude(stages, [ket.index], [ket.sign], row, np.empty_like(want))
+        got, got_h = _amplitude(stages, k, [ket.index], [ket.sign], row)
         assert got_h == h
         if "R" in tail:
             assert abs(got - float(want[row, 0])) <= 1e-12 * 2.0 ** (h / 2)
         else:
             assert got == float(want[row, 0])
+
+
+def _kickback_plan(table, first=None, second=None, rotations=()):
+    """The stages of fill, U(table), H layer and R tail on k = table.n + 1
+    wires, each H layer without the wire `first` or `second` (None: none)."""
+    k = table.n + 1
+    layers = [tuple(H(q) for q in range(k) if q != skip) for skip in (first, second)]
+    tail = tuple(Gate("R", (q,), angle) for q, angle in rotations)
+    return _stages(layers[0] + (Gate("U", (k - 1,), table),) + layers[1] + tail)
+
+
+def _check_contracted_amplitudes(stages, k, columns, rows):
+    """_amplitude at each of `rows` of each signed input (index, sign) in
+    `columns` writes no batch and is the simulated batch's entry: equal with
+    no R, within 1e-12 of it with R."""
+    index, sign = map(list, zip(*columns))
+    want = np.empty((1 << k, len(columns)), _batch_dtype(stages))
+    h = _simulate_batch(stages, index, sign, want)
+    exact = all(kind != "R" for kind, _ in stages)
+    with mock.patch.object(circuits, "_simulate_batch") as simulate:
+        for j, (i, s) in enumerate(columns):
+            for row in rows:
+                got, got_h = _amplitude(stages, k, [i], [s], row)
+                assert got_h == h
+                if exact:
+                    assert got == float(want[row, j]), (i, s, row)
+                else:
+                    assert abs(got - float(want[row, j])) <= 1e-12 * 2.0 ** (h / 2)
+    assert not simulate.called
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_amplitude_contracts_fill_u_and_row_on_every_input_and_row(k):
+    # Every table at k <= 3 and 8 random ones at k = 4 (mostly not
+    # admissible), every index with both ancilla bits and both signs, every
+    # row, and each layer-one H skip, the ancilla's making U a row gather in
+    # the batch; the layer-two skip and an R tail cycle with them.
+    n, skips = k - 1, [None, *range(k)]
+    if k <= 3:
+        tables = [TruthTable(n, bits) for bits in product((0, 1), repeat=1 << n)]
+    else:
+        rng = np.random.default_rng(29)
+        tables = [TruthTable(n, rng.integers(0, 2, 1 << n).tolist()) for _ in range(8)]
+    columns = [(i, s) for i in range(1 << k) for s in (1, -1)]
+    for t, table in enumerate(tables):
+        for c, first in enumerate(skips):
+            second = skips[(t + c) % len(skips)]
+            rotations = [((t + c) % k, 0.7)] if (t + c) % 2 else []
+            stages = _kickback_plan(table, first, second, rotations)
+            _check_contracted_amplitudes(stages, k, columns, range(1 << k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyp.data())
+def test_amplitude_contracts_fill_u_and_row_up_to_12_wires(data):
+    # Random tables, almost never admissible, on k = 2-12 wires: every row
+    # up to k = 6, 16 drawn rows above.
+    k = data.draw(hyp.integers(2, 12))
+    rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
+    table = TruthTable(k - 1, rng.integers(0, 2, 1 << (k - 1)).tolist())
+    first, second = (data.draw(hyp.sampled_from([None, *range(k)])) for _ in range(2))
+    rotation = hyp.tuples(hyp.integers(0, k - 1), hyp.floats(-4, 4))
+    rotations = data.draw(hyp.lists(rotation, max_size=2))
+    row = hyp.integers(0, (1 << k) - 1)
+    signed = hyp.tuples(row, hyp.sampled_from([1, -1]))
+    columns = data.draw(hyp.lists(signed, min_size=1, max_size=3))
+    rows = range(1 << k) if k <= 6 else data.draw(hyp.lists(row, min_size=16, max_size=16))
+    _check_contracted_amplitudes(_kickback_plan(table, first, second, rotations), k, columns, rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,6 +57,15 @@ def signed_inputs(n):
             yield BasisKet(sign, int_to_bits(idx, n) + (1,))
 
 
+def _simulate(f, index, sign, fault=None):
+    """The whole plan of the pipeline with `fault`, second H layer included,
+    simulated on the columns sign[j] |index[j]>: the unscaled batch, in the
+    plan's _batch_dtype, and its H count."""
+    stages = _stages(pipeline._gates(f, fault))
+    arr = np.empty((2 << f.n, len(index)), circuits._batch_dtype(stages))
+    return arr, _simulate_batch(stages, index, sign, arr)
+
+
 @pytest.mark.parametrize(
     "table,state,expected",
     [
@@ -296,7 +305,7 @@ def _full_plan_read(f, kets):
     """Each ket's output read the reference way: the whole plan, second H
     layer included, simulated and scaled, then read_basis_columns."""
     index, sign = [k.index for k in kets], [k.sign for k in kets]
-    return read_basis_columns(_scale(*pipeline._simulate(f, index, sign)))
+    return read_basis_columns(_scale(*_simulate(f, index, sign)))
 
 
 def _reference_failures(n, swap):
@@ -462,7 +471,7 @@ def test_batched_columns_match_run_and_predict(data):
     n = data.draw(hyp.integers(1, 10))
     f = _random_function(data, n)
     kets = _random_inputs(data, n, 8)
-    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
+    batch = _scale(*_simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     index, sign = read_basis_columns(batch)
     for j, ket in enumerate(kets):
         got = BasisKet(int(sign[j]), int_to_bits(int(index[j]), n + 1))
@@ -531,7 +540,7 @@ def test_flipped_entry_fails_readout_in_every_column(data):
     bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
     kets = _random_inputs(data, n, 8)
     f = TruthTable(n, tuple(bits))
-    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
+    batch = _scale(*_simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     _, sign = read_basis_columns(batch)
     assert not sign.any()
 
@@ -567,7 +576,7 @@ def test_exact_reader_equals_the_tolerance_reader_on_kernel_batches(data):
         bits[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
     f = TruthTable(n, tuple(bits))
     kets = _random_inputs(data, n, 16)
-    batch = _scale(*pipeline._simulate(f, [k.index for k in kets], [k.sign for k in kets]))
+    batch = _scale(*_simulate(f, [k.index for k in kets], [k.sign for k in kets]))
     want_index, want_sign = _tolerance_reader(batch)
     index, sign = read_basis_columns(batch)
     assert sign.tolist() == want_sign.tolist()
@@ -632,14 +641,17 @@ def test_rotation_is_cos_squared_within_1e_12(data):
 
 _THREAD_PROBE = """
 import hashlib
-from symtest import pipeline
+import numpy as np
+from symtest import circuits, pipeline
 from symtest.boolfunc import ParityForm, from_parity_form
 from symtest.statevec import BasisKet
 n = 14
 f = from_parity_form(ParityForm(n, (1, 1, 0) * 4 + (0, 1), 1))
 ket = BasisKet(-1, (0, 1, 1) * 4 + (1, 0, 1))
 clean = pipeline.run_vector(f, ket).amplitudes
-rotated, _ = pipeline._simulate(f, [ket.index], [ket.sign], pipeline.RotateQubit("first", 5, 0.3))
+stages = circuits._stages(pipeline._gates(f, pipeline.RotateQubit("first", 5, 0.3)))
+rotated = np.empty((2 << n, 1))
+circuits._simulate_batch(stages, [ket.index], [ket.sign], rotated)
 print(hashlib.sha256(clean.tobytes()).hexdigest(), hashlib.sha256(rotated.tobytes()).hexdigest())
 """
 
@@ -719,7 +731,7 @@ def _whole_plan_probability(f, ket, fault):
     """success_probability by the whole plan: simulate every stage, then read
     the predicted row, scaled the same way."""
     target = predict(f, ket).output
-    arr, h = pipeline._simulate(f, [ket.index], [ket.sign], fault)
+    arr, h = _simulate(f, [ket.index], [ket.sign], fault)
     overlap = float(arr[target.index, 0]) * target.sign
     return overlap * overlap * 2.0 ** -h
 
@@ -923,14 +935,15 @@ def _gather_batch(gates, index, sign, arr):
         (CorruptOracleEntry(3), 0),
         (RotateQubit("second", 0, 0.4), 0),
         (RotateQubit("first", 2, 0.4), 1),
-        (SkipHadamard("first", 4), 1),
+        (SkipHadamard("first", 4), 0),
     ],
 )
 def test_u_is_a_row_gather_only_where_the_fill_cannot_apply_it(fault, gathers):
-    # With the ancilla's H in the fill, U is the fill's phase and makes no
-    # _permute call; a first-layer rotation, or the ancilla's H skipped,
-    # leaves U a row gather.  Either way the batch of every signed input
-    # has the bytes of the fill-then-gather kernel.
+    # success_probability contracts U with the fill and the target row, and
+    # run applies it as the fill's phase, so only a first-layer rotation makes
+    # a _permute call.  In a batch, the ancilla's H skipped leaves U a row
+    # gather too.  Either way the batch of every signed input has the bytes
+    # of the fill-then-gather kernel.
     n = 4
     f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
     ket = BasisKet(-1, (0, 1, 1, 0, 1))
@@ -942,7 +955,7 @@ def test_u_is_a_row_gather_only_where_the_fill_cannot_apply_it(fault, gathers):
     assert spy.call_count == gathers
     index = np.repeat((np.arange(1 << n) << 1) | 1, 2)
     sign = np.tile([1, -1], 1 << n)
-    arr, h = pipeline._simulate(f, index, sign, fault)
+    arr, h = _simulate(f, index, sign, fault)
     want = np.empty_like(arr)
     assert _gather_batch(pipeline._gates(f, fault), index, sign, want) == h
     assert np.array_equal(arr.view(np.uint8), want.view(np.uint8))
@@ -971,9 +984,50 @@ def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
     assert peak <= 0.6 * state, (fault, peak)
 
 
+@pytest.mark.parametrize(
+    "fault, want",
+    [
+        (None, 1.0),
+        (SkipHadamard("first", 0), 0.5),
+        (SkipHadamard("first", 19), 0.5),
+        (SkipHadamard("second", 7), 0.5),
+        (CorruptOracleEntry(0), (1 - 2.0**-18) ** 2),
+        (CorruptOracleEntry((1 << 19) - 1), (1 - 2.0**-18) ** 2),
+        (RotateQubit("second", 19, 0.4), math.cos(0.4) ** 2),
+    ],
+)
+def test_fault_at_19_qubits_writes_no_state(fault, want):
+    # Every fault but a first-layer rotation is contracted from the fill's
+    # factors, U's table and the target row: no fill, row gather or
+    # butterfly, and a traced peak below the 2^(k+2) bytes of the float32
+    # batch on k = 20 wires that it no longer writes.
+    n = 19
+    f = from_parity_form(ParityForm(n, (1, 1, 0) * 6 + (1,), 0))
+    ket = BasisKet(1, (1, 0) * 9 + (0, 1))
+    with ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(circuits, name, wraps=getattr(circuits, name)))
+            for name in ("_fill", "_permute", "butterfly")
+        ]
+        tracemalloc.start()
+        try:
+            got = success_probability(f, ket, fault)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [spy.call_count for spy in spies] == [0, 0, 0]
+    assert peak < 1 << (n + 3), peak
+    assert abs(got - want) <= 1e-12
+
+
+@contextmanager
 def _float64_only():
-    """Run the pipeline's batches in float64 whatever the gate list."""
-    return mock.patch.object(pipeline, "_batch_dtype", lambda stages: np.float64)
+    """Run the pipeline's and the kernel's batches in float64 whatever the gate list."""
+    with ExitStack() as stack:
+        for module in (pipeline, circuits):
+            patch = mock.patch.object(module, "_batch_dtype", lambda stages: np.float64)
+            stack.enter_context(patch)
+        yield
 
 
 def _outcome(call):
@@ -1002,10 +1056,10 @@ def test_float32_pipeline_outputs_equal_float64_bit_for_bit(data):
     ]
     for fault in [None] + faults:
         columns = [k.index for k in kets], [k.sign for k in kets], fault
-        arr, h = pipeline._simulate(f, *columns)
+        arr, h = _simulate(f, *columns)
         assert arr.dtype == np.float32
         with _float64_only():
-            wide = _scale(*pipeline._simulate(f, *columns))
+            wide = _scale(*_simulate(f, *columns))
         assert np.array_equal(_scale(arr, h).astype(np.float64).view(np.uint64), wide.view(np.uint64))
     g = _random_function(data, n)  # success_probability needs an admissible f
     got = [_outcome(lambda: run(f, ket)) for ket in kets]
