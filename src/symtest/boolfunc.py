@@ -204,13 +204,13 @@ def is_admissible(tt: TruthTable) -> bool:
     return True
 
 
-def _parity_table(pf: ParityForm) -> bytes:
+def _parity_table(mask: tuple[int, ...], complement: int) -> bytes:
     """Table of c XOR parity(x AND m), doubled once per variable: the new,
     more significant variable copies the table, or its complement where
     its mask bit is set.  x_n is the least significant index bit, so the
     mask is read from the end."""
-    t = bytes([pf.complement])
-    for bit in reversed(pf.mask):
+    t = bytes([complement])
+    for bit in reversed(mask):
         t += t.translate(_FLIP) if bit else t
     return t
 
@@ -218,19 +218,24 @@ def _parity_table(pf: ParityForm) -> bytes:
 def to_parity_form(tt: TruthTable) -> ParityForm:
     """Extract (mask, complement) with mask bit i = f(e_i) XOR f(0).
 
-    The candidate form is checked against the whole table; a table that
-    is not an affine parity function raises NotAdmissibleError.
+    The candidate form is checked against the table in place, 2^12 entries
+    at a time, so that no 2^n-byte table is built; a table that is not an
+    affine parity function raises NotAdmissibleError.
     """
     t = tt.table
     c = t[0]
     pf = ParityForm(tt.n, tuple(t[1 << (tt.n - 1 - i)] ^ c for i in range(tt.n)), c)
-    if _parity_table(pf) != t:
-        raise NotAdmissibleError(f"{tt.brief()} is not an affine parity function")
+    low = min(tt.n, 12)
+    block, high = _parity_table(pf.mask[tt.n - low :], c), bits_to_int(pf.mask[: tt.n - low])
+    blocks = (block, block.translate(_FLIP) if high else block)  # no complement unless one is read
+    for j in range(len(t) >> low):  # block j is complemented where parity(j & high) = 1
+        if not t.startswith(blocks[(j & high).bit_count() & 1], j << low):
+            raise NotAdmissibleError(f"{tt.brief()} is not an affine parity function")
     return pf
 
 
 def from_parity_form(pf: ParityForm) -> TruthTable:
-    return TruthTable(pf.n, _parity_table(pf))
+    return TruthTable(pf.n, _parity_table(pf.mask, pf.complement))
 
 
 def classify(tt: TruthTable) -> FunctionClass:

@@ -42,11 +42,8 @@ else float64; simulate_circuit keeps float64.  assert_equivalent reads its
 inputs in chunks of at most 2^16 amplitudes (16 columns at 12 wires),
 simulated into one reused buffer per circuit in its dtype, so its memory
 stays bounded.
-_amplitude reads one row of one column: it reads the plan's tail, the
-trailing R stages and the H stage before them, into the row.  When only
-stage 0 and one U come before the tail, it contracts the fill's two
-factors, U's table and the row's two factors, and writes no batch;
-otherwise it simulates the plan up to the tail.
+_amplitude contracts one row of one column of a plan of H and R stages
+around one U from sums of product states, and writes no batch.
 """
 
 import functools
@@ -440,52 +437,60 @@ def _simulate_batch(stages: list[tuple[str, list]], index, sign, arr: np.ndarray
     return _count_h(stages)
 
 
-def _amplitude(stages: list[tuple[str, list]], k: int, index, sign, row: int) -> tuple[float, int]:
-    """The unscaled amplitude at `row` that _simulate_batch would leave in the
-    one column sign[0] |index[0]> of a (2^k, 1) batch, and the plan's H count.
+def _terms(stages: list[tuple[str, list]], k: int, index: int, turn: int):
+    """|index> on k wires through the H and R stages as a sum of product
+    states: (T, k, 2) int8 vectors, one per term and wire, and (T,) weights.
+    R = cos I + sin J, J = [[0, -1], [1, 0]], splits each term in two; with
+    turn = -1 each R is R^T, so G^T is G's stages read from the last."""
+    vectors = np.eye(2, dtype=np.int8)[(index >> np.arange(k - 1, -1, -1)) & 1][None]
+    weights = np.ones(1)
+    for kind, items in stages:
+        if kind == "H":
+            vectors[:, items] = vectors[:, items] @ ((1, 1), (1, -1))
+        else:
+            q, angle = items[0].qubits[0], turn * items[0].arg
+            turned = vectors.copy()
+            turned[:, q] = vectors[:, q, ::-1] * (-1, 1)  # J (a, b) = (-b, a)
+            vectors = np.concatenate([vectors, turned])
+            weights = np.concatenate([weights * math.cos(angle), weights * math.sin(angle)])
+    return vectors, weights
 
-    The tail, the trailing R stages and the H stage before them unless that
-    is stage 0, is read into the row.  Each R, from the last, splits every
-    readout row r into its two preimages on its wire, weighted by <r|R.  H
-    is symmetric, so <r|H^(x)W psi> = <H^(x)W r|psi>, and H^(x)W |r> is the
-    fill's column of r, with two _factors top and bottom (one-hot with no H).
-    When the head before the tail is stage 0 and one U of one table, no
-    batch is written: with the fill's factors high and low, U swaps low
-    rows 2t + b where u(t) = 1, so with s0 = sum_b low bottom and s1 = sum_b
-    low[2t + 1 - b] bottom[2t + b] each row's overlap is sum_h high top
-    (sum s0 + T (s1 - s0)), T the table as a (len(high), len(low) / 2) matrix
-    (Markov & Shi 2008).  Otherwise the head is simulated into a batch in the
-    plan's _batch_dtype and read.  Every partial sum is an integer within
-    2^k, or within the 2^24 that _batch_dtype bounds the butterfly's by, so
-    the amplitude is exact up to the R weights.
+
+def _product(vectors: np.ndarray) -> np.ndarray:
+    """The float32 (P, 2^m) outer products of (P, m, 2) vectors, the first wire most significant."""
+    out = np.ones((len(vectors), 1), np.float32)
+    for q in range(vectors.shape[1]):
+        out = (out[:, :, None] * vectors[:, None, q]).reshape(len(out), -1)
+    return out
+
+
+def _amplitude(stages: list[tuple[str, list]], k: int, index, sign, row: int) -> tuple[float, int]:
+    """The unscaled amplitude at `row` of the column sign |index> after a plan
+    of H and R stages around one U of one table, as _simulate_batch would
+    leave it in a (2^k, 1) batch, and the plan's H count; no batch is written.
+
+    The state before U and <row| read back through the later stages, as
+    (G^T |row>)^T, are sums of product states (_terms; Markov & Shi 2008).
+    For a ket term and a bra term, with w = ket * bra on the data wires and
+    alpha and beta the ancilla's straight and flipped overlaps, U's overlap
+    is alpha prod_q sum w_q + (beta - alpha) high^T T low: T is the table as
+    a matrix, high and low the outer products of w over its row and column
+    bits.  Each is an integer within 2^(k+2), exact in float32, so only the
+    R weights round.  einsum casts T to float32 a buffer at a time, never whole.
     """
-    rows, weights, end = np.array([row]), np.ones(1), len(stages)
-    while stages[end - 1][0] == "R":
-        end -= 1
-        gate = stages[end][1][0]
-        c, s = math.cos(gate.arg), math.sin(gate.arg)
-        bit = 1 << (k - 1 - gate.qubits[0])
-        # <r|R = R[r_q, 0] <r, q=0| + R[r_q, 1] <r, q=1|, with R = [[c, -s], [s, c]].
-        up = (rows & bit) != 0
-        rows = np.concatenate([rows & ~bit, rows | bit])
-        weights = np.concatenate([weights * np.where(up, s, c), weights * np.where(up, c, -s)])
-    fold = end > 1 and stages[end - 1][0] == "H"
-    head, h = stages[: end - fold], _count_h(stages)
-    top, bottom = _factors(rows, stages[end - 1][1] if fold else [], k)
-    kind, items = head[-1]
-    if len(head) == 2 and kind == "U" and isinstance(items[0].arg, TruthTable):
-        high, low = _factors(np.asarray(index, dtype=np.int64), head[0][1], k)
-        low, bottom = low.reshape(-1, 2, 1), bottom.reshape(-1, 2, len(rows))
-        s0 = np.einsum("tbj,tbj->tj", low, bottom, dtype=np.float32)
-        s1 = np.einsum("tbj,tbj->tj", low[:, ::-1], bottom, dtype=np.float32)
-        table = np.frombuffer(items[0].arg.table, np.uint8).reshape(len(high), -1)
-        inner = s0.sum(0) + table.astype(np.float32) @ (s1 - s0)
-        overlaps = np.einsum("hj,hj->j", high * top * np.int8(sign[0]), inner)
-        return float(overlaps @ weights), h
-    arr = np.empty((1 << k, 1), _batch_dtype(stages))
-    _simulate_batch(head, index, sign, arr)
-    overlaps = np.einsum("hj,hj->j", top, arr.reshape(len(top), -1) @ bottom)
-    return float(overlaps @ weights), h
+    u = next(i for i, (kind, _) in enumerate(stages) if kind == "U")
+    ket, ket_weights = _terms(stages[:u], k, index, 1)
+    bra, bra_weights = _terms(stages[:u:-1], k, row, -1)
+    w = (ket[:, None] * bra).reshape(-1, k, 2)  # every (ket term, bra term) pair
+    alpha = w[:, -1].sum(1)
+    beta = (ket[:, None, -1] * bra[:, -1, ::-1]).sum(-1).ravel()
+    lo = (k - 1) // 2  # the table's column bits
+    high, low = _product(w[:, : k - 1 - lo]), _product(w[:, k - 1 - lo : -1])
+    table = np.frombuffer(stages[u][1][0].arg.table, np.uint8).reshape(high.shape[1], -1)
+    part = np.einsum("pr,rl->pl", high, table)
+    plain = high.sum(1) * low.sum(1)  # prod_q sum w_q
+    overlaps = alpha * plain + (beta - alpha) * np.einsum("pl,pl->p", part, low)
+    return float(overlaps @ (sign * np.outer(ket_weights, bra_weights).ravel())), _count_h(stages)
 
 
 def _columns(kets: list[BasisKet], wires: int) -> tuple[list[int], list[int]]:

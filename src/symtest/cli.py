@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
 def _cmd_fault(args) -> int:
     state = statevec.parse_ket(args.state)
     f = parse_function(args.function, state.k - 1)
-    fault = parse_fault(args.fault) if args.fault else None
+    fault = None if args.fault is None else parse_fault(args.fault)
     p = pipeline.success_probability(f, state, fault)
     print(f"{p:.12g}")
     return 0

@@ -17,20 +17,19 @@ rotation appends an R stage after its layer, and a corrupted oracle
 entry flips one entry of U's table.  The kernel works on a (2^k, B)
 batch whose columns are input states, so verify_all sends all signed
 inputs of several f through in one pass, with one U table per f's group
-of columns, while run() and friends pass a single column.  Simulation is
+of columns, while run() and run_vector() pass one column.  Simulation is
 exact for the unfaulted pipeline: the first H layer is filled in closed
 form, each input's +-1 Hadamard row, with U as the phase (-1)^f(t) on
 row pairs read from f's table, not its parity form (phase kickback).
 The second layer is read, never applied: the output is a signed basis
 state exactly when the state after U is +- its Hadamard row, so run()
 and verify_all read each column there (circuits._read_rows and
-_hadamard_rows).  success_probability() contracts its one amplitude
-from the fill's factors, U's table and the predicted row, with the
-second layer, and a rotation after it, folded into that row
-(circuits._amplitude), and writes no state; only a first-layer rotation
-is simulated, with U a row gather.  Batches are float32, exact
-below 2^24, unless a rotation fault adds an R stage
-(circuits._batch_dtype); run_vector returns float64.
+_hadamard_rows).  success_probability() writes no state: the input
+through the first layer and the predicted row read back through the
+second are sums of product states, one term per branch of a rotation,
+and circuits._amplitude contracts them through U's table.  Batches are
+float32, exact below 2^24 (circuits._batch_dtype); run_vector returns
+float64.
 """
 
 from dataclasses import dataclass, field
@@ -129,9 +128,8 @@ def _gates(f: TruthTable, fault: Fault | None) -> tuple[Gate, ...]:
     elif isinstance(fault, CorruptOracleEntry):
         if not 0 <= fault.index < 1 << f.n:
             raise ValueError(f"oracle entry {fault.index} out of range for n={f.n}")
-        flipped = bytearray(f.table)
-        flipped[fault.index] ^= 1
-        f = TruthTable(f.n, flipped)
+        t, i = memoryview(f.table), fault.index
+        f = TruthTable(f.n, b"".join([t[:i], bytes([t[i] ^ 1]), t[i + 1 :]]))
     elif fault is not None:
         raise ValueError(f"unknown fault spec: {fault!r}")
     return layers["first"] + (Gate("U", (f.n,), f),) + layers["second"]
@@ -197,21 +195,18 @@ def success_probability(f: TruthTable, input: BasisKet, fault: Fault | None = No
 
     Exactly 1.0 when no fault is injected; anything less flags a loss of
     coherence or a broken gate.  Only the one amplitude at the predicted
-    row is computed: the second H layer, and a rotation after it, are read
-    into that row, and the fill and U are contracted with it, so no state
-    is written unless a first-layer rotation must be simulated
-    (circuits._amplitude).
-    The unnormalized overlap is squared before the 2^-h scale of the h
-    Hadamards is applied, so that scale stays an exact power of two even
-    when a skipped Hadamard leaves h odd.
+    row is computed, as a contraction of product states through U's table,
+    and no state is written (circuits._amplitude).
+    The unnormalized amplitude is squared, which drops the predicted sign,
+    before the 2^-h scale of the h Hadamards is applied, so that scale
+    stays an exact power of two even when a skipped Hadamard leaves h odd.
     """
     k = f.n + 1
-    _check_cap("qubits", k, f"pipeline on {k} qubits")  # before predict() builds f's parity table
+    _check_cap("qubits", k, f"pipeline on {k} qubits")  # before predict() checks f's table
     target = predict(f, input).output
     stages = _stages(_gates(f, fault))
-    amplitude, h = _amplitude(stages, k, [input.index], [input.sign], target.index)
-    overlap = amplitude * target.sign
-    return overlap * overlap * 2.0 ** -h
+    amplitude, h = _amplitude(stages, k, input.index, input.sign, target.index)
+    return amplitude * amplitude * 2.0 ** -h
 
 
 @dataclass

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as hyp
+from hypothesis import given, settings, strategies as hyp
 
 from symtest.bitops import CAPS, CapError
 from symtest.boolfunc import (
@@ -218,6 +218,21 @@ def test_to_parity_form_rejects_non_admissible():
         to_parity_form(tt("0001"))
     with pytest.raises(NotAdmissibleError):
         to_parity_form(tt("00010111"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyp.integers(13, 16), hyp.data())
+def test_to_parity_form_checks_every_block_past_12_variables(n, data):
+    # Past 12 variables the table is checked 2^12 entries at a time: every
+    # affine table round-trips, and one entry flipped anywhere is refused.
+    mask = tuple(data.draw(hyp.lists(hyp.integers(0, 1), min_size=n, max_size=n)))
+    pf = ParityForm(n, mask, data.draw(hyp.integers(0, 1)))
+    table = from_parity_form(pf)
+    assert to_parity_form(table) == pf
+    flipped = bytearray(table.table)
+    flipped[data.draw(hyp.integers(0, (1 << n) - 1))] ^= 1
+    with pytest.raises(NotAdmissibleError):
+        to_parity_form(TruthTable(n, flipped))
 
 
 def test_brief_names_long_tables_by_n_and_hex_prefix():

@@ -935,38 +935,14 @@ def test_float32_batch_is_bit_identical_to_float64(data):
     assert np.array_equal(narrow.astype(np.float64).view(np.uint64), wide.view(np.uint64))
 
 
-@settings(max_examples=60, deadline=None)
-@given(hyp.data())
-def test_amplitude_reads_each_row_of_the_simulated_batch(data):
-    # The plan's tail of R stages, and the H stage before them unless it is
-    # stage 0, is read into the row: with no R the amplitude is the batch's
-    # entry bit for bit, with R within 1e-12 of it, on every row and wire.
-    k = data.draw(hyp.integers(1, 8))
-    gates = data.draw(float32_gate_lists(k))
-    tail = data.draw(hyp.lists(hyp.sampled_from(["H", "R"]), max_size=4))
-    for kind in tail:
-        q = data.draw(hyp.integers(0, k - 1))
-        gates += (H(q) if kind == "H" else Gate("R", (q,), data.draw(hyp.floats(-4, 4))),)
-    ket = data.draw(kets_on(k))
-    stages = _stages(gates)
-    want = np.empty((1 << k, 1), _batch_dtype(stages))
-    h = _simulate_batch(stages, [ket.index], [ket.sign], want)
-    for row in range(1 << k):
-        got, got_h = _amplitude(stages, k, [ket.index], [ket.sign], row)
-        assert got_h == h
-        if "R" in tail:
-            assert abs(got - float(want[row, 0])) <= 1e-12 * 2.0 ** (h / 2)
-        else:
-            assert got == float(want[row, 0])
-
-
-def _kickback_plan(table, first=None, second=None, rotations=()):
-    """The stages of fill, U(table), H layer and R tail on k = table.n + 1
-    wires, each H layer without the wire `first` or `second` (None: none)."""
+def _kickback_plan(table, first=None, second=None, before=(), after=()):
+    """The stages of fill, R gates `before`, U(table), H layer and R gates
+    `after` on k = table.n + 1 wires, each H layer without the wire `first`
+    or `second` (None: none); a rotation is a (wire, angle) pair."""
     k = table.n + 1
     layers = [tuple(H(q) for q in range(k) if q != skip) for skip in (first, second)]
-    tail = tuple(Gate("R", (q,), angle) for q, angle in rotations)
-    return _stages(layers[0] + (Gate("U", (k - 1,), table),) + layers[1] + tail)
+    before, after = (tuple(Gate("R", (q,), angle) for q, angle in r) for r in (before, after))
+    return _stages(layers[0] + before + (Gate("U", (k - 1,), table),) + layers[1] + after)
 
 
 def _check_contracted_amplitudes(stages, k, columns, rows):
@@ -980,7 +956,7 @@ def _check_contracted_amplitudes(stages, k, columns, rows):
     with mock.patch.object(circuits, "_simulate_batch") as simulate:
         for j, (i, s) in enumerate(columns):
             for row in rows:
-                got, got_h = _amplitude(stages, k, [i], [s], row)
+                got, got_h = _amplitude(stages, k, i, s, row)
                 assert got_h == h
                 if exact:
                     assert got == float(want[row, j]), (i, s, row)
@@ -994,7 +970,8 @@ def test_amplitude_contracts_fill_u_and_row_on_every_input_and_row(k):
     # Every table at k <= 3 and 8 random ones at k = 4 (mostly not
     # admissible), every index with both ancilla bits and both signs, every
     # row, and each layer-one H skip, the ancilla's making U a row gather in
-    # the batch; the layer-two skip and an R tail cycle with them.
+    # the batch; the layer-two skip and no R, an R before U, an R after the
+    # second layer or both cycle with them.
     n, skips = k - 1, [None, *range(k)]
     if k <= 3:
         tables = [TruthTable(n, bits) for bits in product((0, 1), repeat=1 << n)]
@@ -1005,27 +982,29 @@ def test_amplitude_contracts_fill_u_and_row_on_every_input_and_row(k):
     for t, table in enumerate(tables):
         for c, first in enumerate(skips):
             second = skips[(t + c) % len(skips)]
-            rotations = [((t + c) % k, 0.7)] if (t + c) % 2 else []
-            stages = _kickback_plan(table, first, second, rotations)
+            rotation = [((t + c) % k, 0.7)]
+            before, after = rotation * ((t + c) % 2), rotation * ((t + c) // 2 % 2)
+            stages = _kickback_plan(table, first, second, before, after)
             _check_contracted_amplitudes(stages, k, columns, range(1 << k))
 
 
 @settings(max_examples=60, deadline=None)
 @given(hyp.data())
 def test_amplitude_contracts_fill_u_and_row_up_to_12_wires(data):
-    # Random tables, almost never admissible, on k = 2-12 wires: every row
-    # up to k = 6, 16 drawn rows above.
+    # Random tables, almost never admissible, on k = 2-12 wires, with up to
+    # two R gates on each side of U: every row up to k = 6, 16 drawn rows above.
     k = data.draw(hyp.integers(2, 12))
     rng = np.random.default_rng(data.draw(hyp.integers(0, 2**32 - 1)))
     table = TruthTable(k - 1, rng.integers(0, 2, 1 << (k - 1)).tolist())
     first, second = (data.draw(hyp.sampled_from([None, *range(k)])) for _ in range(2))
     rotation = hyp.tuples(hyp.integers(0, k - 1), hyp.floats(-4, 4))
-    rotations = data.draw(hyp.lists(rotation, max_size=2))
+    before, after = (data.draw(hyp.lists(rotation, max_size=2)) for _ in range(2))
     row = hyp.integers(0, (1 << k) - 1)
     signed = hyp.tuples(row, hyp.sampled_from([1, -1]))
     columns = data.draw(hyp.lists(signed, min_size=1, max_size=3))
     rows = range(1 << k) if k <= 6 else data.draw(hyp.lists(row, min_size=16, max_size=16))
-    _check_contracted_amplitudes(_kickback_plan(table, first, second, rotations), k, columns, rows)
+    stages = _kickback_plan(table, first, second, before, after)
+    _check_contracted_amplitudes(stages, k, columns, rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -201,6 +201,13 @@ def test_fault_bad_spec(capsys):
     assert "fault spec" in err
 
 
+def test_fault_empty_spec_is_an_error(capsys):
+    # An empty spec is malformed, not the same as giving no fault.
+    code, out, err = run_cli(capsys, "fault", "0011", "+001", "")
+    assert (code, out) == (1, "")
+    assert err == "error: malformed fault spec ''\n"
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_fault_non_finite_angle(capsys, angle):
     code, out, err = run_cli(capsys, "fault", "0011", "+001", f"rotate:first:1:{angle}")

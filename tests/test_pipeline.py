@@ -747,8 +747,8 @@ def _assert_matches_whole_plan(f, ket, fault):
 @settings(max_examples=40, deadline=None)
 @given(hyp.data())
 def test_success_probability_equals_the_whole_plan_read(data):
-    # The readout folds the second layer and a rotation after it into the
-    # predicted row; skip, corrupt and fault-free results are those of the
+    # The readout contracts product states on either side of U through its
+    # table; skip, corrupt and fault-free results are those of the
     # simulated plan to the last bit, rotations within 1e-13.
     n = data.draw(hyp.integers(1, 12))
     f = _random_function(data, n)
@@ -774,8 +774,8 @@ def test_success_probability_equals_the_whole_plan_read_exhaustively(n):
 
 
 def test_success_probability_makes_no_butterfly_call():
-    # Every fault leaves the second layer last but for an R, so it is read
-    # into the predicted row; run reads its output from the state after U.
+    # Every fault is contracted from product states through U's table, with
+    # no state to apply H to; run reads its output from the state after U.
     n = 4
     f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
     ket = BasisKet(-1, (0, 1, 1, 0, 1))
@@ -809,9 +809,9 @@ def test_run_memory_at_19_qubits():
 
 
 def test_run_peak_memory_is_within_1_6_states_at_19_qubits():
-    # The state is 8.4 MB; H and R work through a 256 KB scratch, U is the
-    # fill's phase on a chunk of rows at a time (a chunked row gather after a
-    # first-layer rotation), and the readout reads the state in place.
+    # run's float32 state is 4.2 MB and U is the fill's phase on a chunk of
+    # rows at a time; a fault writes no state, and einsum casts U's table to
+    # float32 a buffer at a time.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (0, 1, 1) * 6 + (1,), 0))
@@ -871,8 +871,8 @@ def test_run_vector_peak_memory_is_within_1_25_states_at_19_qubits():
 
 
 def test_second_layer_rotation_peak_memory_is_within_1_25_states_at_19_qubits():
-    # The rotation and the second layer become two readout rows of weights
-    # and factors; the overlap reads the state in place, with no second state.
+    # The rotation splits the target row's product state in two; the overlap
+    # is contracted through U's table, and no state is written.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
@@ -934,16 +934,16 @@ def _gather_batch(gates, index, sign, arr):
         (SkipHadamard("first", 1), 0),
         (CorruptOracleEntry(3), 0),
         (RotateQubit("second", 0, 0.4), 0),
-        (RotateQubit("first", 2, 0.4), 1),
+        (RotateQubit("first", 2, 0.4), 0),
         (SkipHadamard("first", 4), 0),
     ],
 )
 def test_u_is_a_row_gather_only_where_the_fill_cannot_apply_it(fault, gathers):
-    # success_probability contracts U with the fill and the target row, and
-    # run applies it as the fill's phase, so only a first-layer rotation makes
-    # a _permute call.  In a batch, the ancilla's H skipped leaves U a row
-    # gather too.  Either way the batch of every signed input has the bytes
-    # of the fill-then-gather kernel.
+    # success_probability contracts U with product states on either side of
+    # it, and run applies it as the fill's phase, so neither makes a
+    # _permute call.  In a batch, a first-layer rotation or the ancilla's H
+    # skipped leaves U a row gather.  Either way the batch of every signed
+    # input has the bytes of the fill-then-gather kernel.
     n = 4
     f = from_parity_form(ParityForm(n, (1, 0, 1, 1), 1))
     ket = BasisKet(-1, (0, 1, 1, 0, 1))
@@ -965,9 +965,9 @@ def test_u_is_a_row_gather_only_where_the_fill_cannot_apply_it(fault, gathers):
     "fault", [None, SkipHadamard("first", 3), SkipHadamard("second", 19), CorruptOracleEntry(5)]
 )
 def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
-    # The batch is float32, half a float64 state; the corrupt fault adds its
-    # 0.5 MB table, and the chunk buffers of the fill, which applies U's
-    # phase, and of the later stages the rest.
+    # run's batch is float32, half a float64 state, and the fill applies U's
+    # phase through chunk buffers; a fault writes no state, and the corrupt
+    # one adds its 0.5 MB table.
     n = 19
     state = 8 << (n + 1)
     f = from_parity_form(ParityForm(n, (1, 0) * 9 + (1,), 1))
@@ -994,13 +994,15 @@ def test_float32_run_peak_memory_is_within_0_6_states_at_19_qubits(fault):
         (CorruptOracleEntry(0), (1 - 2.0**-18) ** 2),
         (CorruptOracleEntry((1 << 19) - 1), (1 - 2.0**-18) ** 2),
         (RotateQubit("second", 19, 0.4), math.cos(0.4) ** 2),
+        (RotateQubit("first", 3, 0.4), math.cos(0.4) ** 2),
+        (RotateQubit("first", 19, 0.4), math.cos(0.4) ** 2),
     ],
 )
 def test_fault_at_19_qubits_writes_no_state(fault, want):
-    # Every fault but a first-layer rotation is contracted from the fill's
-    # factors, U's table and the target row: no fill, row gather or
-    # butterfly, and a traced peak below the 2^(k+2) bytes of the float32
-    # batch on k = 20 wires that it no longer writes.
+    # Every fault is contracted from product states on either side of U and
+    # U's table: no fill, row gather or butterfly, and a traced peak below
+    # the 2^(k+2) bytes of the float32 batch on k = 20 wires that it does
+    # not write.
     n = 19
     f = from_parity_form(ParityForm(n, (1, 1, 0) * 6 + (1,), 0))
     ket = BasisKet(1, (1, 0) * 9 + (0, 1))
@@ -1018,6 +1020,20 @@ def test_fault_at_19_qubits_writes_no_state(fault, want):
     assert [spy.call_count for spy in spies] == [0, 0, 0]
     assert peak < 1 << (n + 3), peak
     assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [18, 19])
+@pytest.mark.parametrize("layer", ["first", "second"])
+def test_rotation_near_a_quarter_turn_is_cos_squared(n, layer):
+    # Near pi/2, cos^2 is small, so any rounding beyond that of cos and sin
+    # shows: the probability stays within 1e-12 of cos^2, relative to it.
+    f = from_parity_form(ParityForm(n, (1, 0, 1) * 6 + (0,) * (n - 18), 1))
+    ket = BasisKet(-1, (0, 1, 1) * 6 + (1,) * (n - 17))
+    for qubit in (0, 7, n):
+        for angle in (1.5707, 1.57079, 1.570796):
+            got = success_probability(f, ket, RotateQubit(layer, qubit, angle))
+            want = math.cos(angle) ** 2
+            assert abs(got - want) <= 1e-12 * want, (qubit, angle, got, want)
 
 
 @contextmanager
@@ -1041,8 +1057,7 @@ def _outcome(call):
 @given(hyp.data())
 def test_float32_pipeline_outputs_equal_float64_bit_for_bit(data):
     # Random tables, admissible or not, at n <= 8: run's readout and the skip
-    # and corrupt success probabilities of the float32 batch are those of the
-    # float64 batch, to the last bit.
+    # and corrupt batches in float32 are those in float64, to the last bit.
     n = data.draw(hyp.integers(1, 8))
     if data.draw(hyp.booleans()):
         f = _random_function(data, n)
@@ -1061,12 +1076,9 @@ def test_float32_pipeline_outputs_equal_float64_bit_for_bit(data):
         with _float64_only():
             wide = _scale(*_simulate(f, *columns))
         assert np.array_equal(_scale(arr, h).astype(np.float64).view(np.uint64), wide.view(np.uint64))
-    g = _random_function(data, n)  # success_probability needs an admissible f
     got = [_outcome(lambda: run(f, ket)) for ket in kets]
-    got += [success_probability(g, ket, fault).hex() for ket in kets for fault in faults]
     with _float64_only():
         want = [_outcome(lambda: run(f, ket)) for ket in kets]
-        want += [success_probability(g, ket, fault).hex() for ket in kets for fault in faults]
     assert got == want
 
 
